@@ -128,7 +128,7 @@ docs-check:
 
 # Simulator throughput microbenchmarks (ns/inst, simMIPS, allocs/inst).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkVCAEvictUnderPressure' -benchmem .
 
 # Throughput smoke gate (wired into `make ci`): BenchmarkSimThroughput at
 # a fixed -benchtime, best-of-3, compared against the committed baseline

@@ -414,6 +414,50 @@ func BenchmarkVCARenameOps(b *testing.B) {
 	}
 }
 
+// BenchmarkVCAEvictUnderPressure measures the renamer's eviction path:
+// a destination rename plus its commit with the free list empty, so
+// every allocation evicts the global-LRU committed register (and spills
+// it). Addresses cycle over four times as many logical registers as the
+// 64 physical ones, so each rename misses. "paper" is the paper's 64-set
+// × 3-way table; "ideal" is the ideal-window machine's 16,384 × 8.
+func BenchmarkVCAEvictUnderPressure(b *testing.B) {
+	for _, g := range []struct {
+		name string
+		cfg  rename.VCAConfig
+	}{
+		{"paper", rename.DefaultVCAConfig(1, 64)},
+		{"ideal", core.DefaultConfig(core.RenameVCA, core.WindowIdeal, 1, 64).VCA},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			v := rename.NewVCA(g.cfg)
+			v.ReadValue = func(int) uint64 { return 0 }
+			var ops []rename.MemOp
+			span := 4 * g.cfg.PhysRegs
+			renameCommit := func(i int) {
+				addr := uint64(0x1000 + 8*(i%span))
+				ops = ops[:0]
+				p, prev, ok := v.RenameDest(addr, &ops)
+				if !ok {
+					b.Fatal("rename stalled with no in-flight instructions")
+				}
+				v.CommitDest(addr, p, prev)
+			}
+			for i := 0; i < g.cfg.PhysRegs; i++ {
+				renameCommit(i)
+			}
+			if v.FreeCount() != 0 {
+				b.Fatalf("%d registers still free after warm-up", v.FreeCount())
+			}
+			evicts := v.Stats.PhysEvicts
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				renameCommit(g.cfg.PhysRegs + i)
+			}
+			b.ReportMetric(float64(v.Stats.PhysEvicts-evicts)/float64(b.N), "evicts/op")
+		})
+	}
+}
+
 // BenchmarkCacheAccess measures the timing-cache hot path.
 func BenchmarkCacheAccess(b *testing.B) {
 	h := mem.NewHierarchy(mem.DefaultHierarchyConfig())

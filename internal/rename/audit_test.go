@@ -93,3 +93,33 @@ func TestVCAMappedAddr(t *testing.T) {
 	}
 	t.Fatal("expected at least one unmapped register")
 }
+
+// TestVCADuplicateLRUStampCaught proves CheckInvariants guards what
+// allocPhys's register scan relies on: two mapped registers sharing an
+// LRU stamp, or a mapped register without one, is rejected.
+func TestVCADuplicateLRUStampCaught(t *testing.T) {
+	v := newVCA(8)
+	var ops []MemOp
+	pa, prevA, _ := v.RenameDest(0x2000, &ops)
+	v.CommitDest(0x2000, pa, prevA)
+	pb, _, ok := v.RenameSource(0x2008, &ops)
+	if !ok {
+		t.Fatal("rename failed")
+	}
+	if err := v.CheckInvariants(); err != nil {
+		t.Fatalf("healthy renamer fails audit: %v", err)
+	}
+	saved := v.regs[pb].lru
+	v.regs[pb].lru = v.regs[pa].lru
+	if err := v.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "share LRU stamp") {
+		t.Fatalf("got %v, want a duplicate-stamp violation", err)
+	}
+	v.regs[pb].lru = 0
+	if err := v.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "no LRU stamp") {
+		t.Fatalf("got %v, want a missing-stamp violation", err)
+	}
+	v.regs[pb].lru = saved
+	if err := v.CheckInvariants(); err != nil {
+		t.Fatalf("restored renamer fails audit: %v", err)
+	}
+}

@@ -59,13 +59,17 @@ type physState struct {
 	dirty     bool
 }
 
-// tableEntry packs into 16 bytes (4 entries per cache line) for the same
-// reason: every rename scans a full set of ways.
-type tableEntry struct {
-	addr  uint64
-	phys  int32
-	valid bool
-}
+// tableEntry is one rename-table way: the physical register it maps,
+// plus one, so the zero value is an empty way. It keeps no copy of the
+// address: a mapped register's own addr is the entry's tag. At 4 bytes
+// (16 ways per cache line) every rename's scan of a set stays short, and
+// the ideal-window machine's 131,072-entry table takes 512 KB.
+type tableEntry int32
+
+// phys returns the mapped register, or PhysNone for an empty way.
+func (e tableEntry) phys() int { return int(e) - 1 }
+
+func mapTo(phys int) tableEntry { return tableEntry(phys + 1) }
 
 // MemOp is a spill or fill handed to the core's ASTQ.
 type MemOp struct {
@@ -163,8 +167,8 @@ func (v *VCA) tick() uint64 {
 func (v *VCA) lookup(addr uint64) (way *tableEntry, phys int) {
 	ways := v.ways(addr)
 	for i := range ways {
-		if ways[i].valid && ways[i].addr == addr {
-			return &ways[i], int(ways[i].phys)
+		if p := ways[i].phys(); p != PhysNone && v.regs[p].addr == addr {
+			return &ways[i], p
 		}
 	}
 	return nil, PhysNone
@@ -189,16 +193,16 @@ func (v *VCA) victimIn(ways []tableEntry) *tableEntry {
 		lru uint64
 	}{}
 	for i := range ways {
-		e := &ways[i]
-		if !e.valid || !v.evictable(int(e.phys)) {
+		p := ways[i].phys()
+		if p == PhysNone || !v.evictable(p) {
 			continue
 		}
-		r := &v.regs[e.phys]
+		r := &v.regs[p]
 		ow := v.cfg.OverwriteHint && r.owPending > 0
 		if best == nil ||
 			(bestKey.ow && !ow) ||
 			(bestKey.ow == ow && r.lru < bestKey.lru) {
-			best = e
+			best = &ways[i]
 			bestKey.ow, bestKey.lru = ow, r.lru
 		}
 	}
@@ -208,7 +212,7 @@ func (v *VCA) victimIn(ways []tableEntry) *tableEntry {
 // evict frees the register behind a table entry, generating a spill when
 // dirty. The caller gets the freed physical register.
 func (v *VCA) evict(e *tableEntry, ops *[]MemOp) int {
-	p := int(e.phys)
+	p := e.phys()
 	r := &v.regs[p]
 	if r.dirty {
 		val := uint64(0)
@@ -219,7 +223,7 @@ func (v *VCA) evict(e *tableEntry, ops *[]MemOp) int {
 		v.Stats.Spills++
 	}
 	v.commit.del(r.addr)
-	e.valid = false
+	*e = 0
 	*r = physState{}
 	return p
 }
@@ -233,18 +237,25 @@ func (v *VCA) allocPhys(ops *[]MemOp) int {
 		v.free = v.free[:n-1]
 		return p
 	}
-	// Global LRU scan over table entries.
+	// Global LRU scan over the physical registers, not the table: a
+	// candidate must still be named by its address's table entry (a
+	// committed version whose entry a younger destination retargeted is
+	// not). Each address has at most one valid entry and mapped registers
+	// carry distinct LRU stamps, so this picks the victim a scan of every
+	// table entry would, at PhysRegs×Ways cost instead of Sets×Ways.
 	var best *tableEntry
 	bestOW := false
 	var bestLRU uint64
-	for i := range v.table {
-		e := &v.table[i]
-		if !e.valid || !v.evictable(int(e.phys)) {
+	for p := range v.regs {
+		if !v.evictable(p) {
 			continue
 		}
-		r := &v.regs[e.phys]
+		r := &v.regs[p]
 		ow := v.cfg.OverwriteHint && r.owPending > 0
-		if best == nil || (bestOW && !ow) || (bestOW == ow && r.lru < bestLRU) {
+		if best != nil && !(bestOW && !ow) && !(bestOW == ow && r.lru < bestLRU) {
+			continue
+		}
+		if e, cur := v.lookup(r.addr); cur == p {
 			best, bestOW, bestLRU = e, ow, r.lru
 		}
 	}
@@ -261,8 +272,8 @@ func (v *VCA) allocPhys(ops *[]MemOp) int {
 func (v *VCA) installMapping(addr uint64, phys int, ops *[]MemOp) bool {
 	ways := v.ways(addr)
 	for i := range ways {
-		if !ways[i].valid {
-			ways[i] = tableEntry{valid: true, addr: addr, phys: int32(phys)}
+		if ways[i] == 0 {
+			ways[i] = mapTo(phys)
 			return true
 		}
 	}
@@ -273,7 +284,7 @@ func (v *VCA) installMapping(addr uint64, phys int, ops *[]MemOp) bool {
 	v.Stats.TableConflictEvicts++
 	freed := v.evict(victim, ops)
 	v.free = append(v.free, freed)
-	*victim = tableEntry{valid: true, addr: addr, phys: int32(phys)}
+	*victim = mapTo(phys)
 	return true
 }
 
@@ -334,7 +345,7 @@ func (v *VCA) RenameDest(addr uint64, ops *[]MemOp) (newPhys, prevSpec int, ok b
 		// previous version stays alive (reachable via the commit table or
 		// pinned by consumers) for recovery.
 		v.regs[prev].owPending++
-		entry.phys = int32(p)
+		*entry = mapTo(p)
 	} else if !v.installMapping(addr, p, ops) {
 		v.free = append(v.free, p)
 		v.Stats.RenameStalls++
@@ -404,7 +415,7 @@ func (v *VCA) freeUnmapped(p int) {
 	r := &v.regs[p]
 	if r.mapped {
 		if e, cur := v.lookup(r.addr); e != nil && cur == p {
-			e.valid = false
+			*e = 0
 		}
 	}
 	*r = physState{}
@@ -441,10 +452,10 @@ func (v *VCA) RollbackDest(addr uint64, newPhys, prevSpec int) {
 	if prevSpec != PhysNone && v.regs[prevSpec].mapped && v.regs[prevSpec].addr == addr {
 		v.regs[prevSpec].owPending--
 		if entry != nil && cur == newPhys {
-			entry.phys = int32(prevSpec)
+			*entry = mapTo(prevSpec)
 		}
 	} else if entry != nil && cur == newPhys {
-		entry.valid = false
+		*entry = 0
 	}
 	r := &v.regs[newPhys]
 	r.ref-- // producer pin
@@ -513,10 +524,10 @@ func (v *VCA) touchRSID(addr uint64) {
 		old := v.rsidTags[victim]
 		var ops []MemOp
 		for i := range v.table {
-			e := &v.table[i]
-			if e.valid && e.addr>>uint(v.cfg.OffsetBits) == old && v.evictable(int(e.phys)) {
+			p := v.table[i].phys()
+			if p != PhysNone && v.regs[p].addr>>uint(v.cfg.OffsetBits) == old && v.evictable(p) {
 				v.Stats.RSIDFlushRegs++
-				freed := v.evict(e, &ops)
+				freed := v.evict(&v.table[i], &ops)
 				v.free = append(v.free, freed)
 			}
 		}
@@ -602,20 +613,20 @@ func (v *VCA) CheckInvariants() error {
 	}
 	seen := make([]bool, v.cfg.PhysRegs)
 	for i := range v.table {
-		e := &v.table[i]
-		if !e.valid {
+		p := v.table[i].phys()
+		if p == PhysNone {
 			continue
 		}
-		if seen[e.phys] {
-			return fmt.Errorf("vca: register %d mapped by two table entries", e.phys)
+		if seen[p] {
+			return fmt.Errorf("vca: register %d mapped by two table entries", p)
 		}
-		seen[e.phys] = true
-		if inFree[e.phys] {
-			return fmt.Errorf("vca: register %d is free but mapped to %#x", e.phys, e.addr)
+		seen[p] = true
+		r := &v.regs[p]
+		if inFree[p] {
+			return fmt.Errorf("vca: register %d is free but mapped to %#x", p, r.addr)
 		}
-		r := &v.regs[e.phys]
-		if !r.mapped || r.addr != e.addr {
-			return fmt.Errorf("vca: table entry %#x disagrees with register %d state (%+v)", e.addr, e.phys, r)
+		if !r.mapped || v.set(r.addr) != i/v.cfg.Ways {
+			return fmt.Errorf("vca: table set %d names register %d, whose state does not map there (%+v)", i/v.cfg.Ways, p, *r)
 		}
 	}
 	if err := v.commit.check(); err != nil {
@@ -633,10 +644,22 @@ func (v *VCA) CheckInvariants() error {
 	}); err != nil {
 		return err
 	}
+	// allocPhys relies on mapped registers carrying distinct, nonzero LRU
+	// stamps: its minimum must not depend on scan order.
+	stampOwner := make(map[uint64]int, v.cfg.PhysRegs)
 	for p := range v.regs {
 		r := &v.regs[p]
 		if r.ref < 0 || r.owPending < 0 {
 			return fmt.Errorf("vca: register %d has negative counts (%+v)", p, r)
+		}
+		if r.mapped {
+			if r.lru == 0 {
+				return fmt.Errorf("vca: mapped register %d has no LRU stamp (%+v)", p, *r)
+			}
+			if q, dup := stampOwner[r.lru]; dup {
+				return fmt.Errorf("vca: registers %d and %d share LRU stamp %d", q, p, r.lru)
+			}
+			stampOwner[r.lru] = p
 		}
 		switch {
 		case inFree[p] && r.mapped:
