@@ -17,15 +17,16 @@ test:
 test-race:
 	$(GO) test -race -timeout 30m ./...
 
-# Short-budget native fuzzing over the three fuzz targets (assembler,
-# mini-C compiler, whole-stack lockstep). Each target gets a small time
-# budget on top of replaying its committed corpus; failures minimize
-# into testdata/fuzz/ automatically.
+# Short-budget native fuzzing over the four fuzz targets (assembler,
+# mini-C compiler, whole-stack lockstep, checkpoint decoder). Each target
+# gets a small time budget on top of replaying its committed corpus;
+# failures minimize into testdata/fuzz/ automatically.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/minic -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRandomProgramsLockstep$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/emu -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME)
 
 # Fixed-seed config-space lockstep sweep (see docs/VERIFICATION.md).
 sweep:
@@ -128,7 +129,7 @@ docs-check:
 
 # Simulator throughput microbenchmarks (ns/inst, simMIPS, allocs/inst).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkVCAEvictUnderPressure' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkVCAEvictUnderPressure|BenchmarkCosimStep' -benchmem .
 
 # Throughput smoke gate (wired into `make ci`): BenchmarkSimThroughput at
 # a fixed -benchtime, best-of-3, compared against the committed baseline

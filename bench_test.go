@@ -273,24 +273,35 @@ func itoa(n int) string {
 
 // --- Substrate micro-benchmarks (simulator performance itself) ---
 
-// BenchmarkEmulator measures functional-simulation speed in simulated
-// instructions per wall second (reported as ns per simulated instruction).
-func BenchmarkEmulator(b *testing.B) {
-	bench, _ := workload.ByName("crafty")
+// BenchmarkCosimStep measures the co-simulation reference step: one
+// emu StepInto, the call the detailed core makes per committed
+// instruction when Config.CoSim is on (core.DefaultConfig), reported as
+// ns per step over complete runs of crafty.
+func BenchmarkCosimStep(b *testing.B) {
+	bench, err := workload.ByName("crafty")
+	if err != nil {
+		b.Fatal(err)
+	}
 	prog, err := bench.Build(minic.ABIFlat)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	var insts uint64
+	var steps uint64
+	var info emu.StepInfo
 	for i := 0; i < b.N; i++ {
 		m := emu.New(prog, emu.Config{})
-		if _, err := m.Run(); err != nil {
-			b.Fatal(err)
+		for {
+			if err := m.StepInto(&info); err != nil {
+				b.Fatal(err)
+			}
+			if exited, _ := m.Exited(); exited {
+				break
+			}
 		}
-		insts += m.Stats.Insts
+		steps += m.Stats.Insts
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }
 
 // BenchmarkEmuFastRun measures the fast functional engine (predecoded

@@ -228,34 +228,39 @@ func (m *Machine) startTrap(th *thread, u *uop) {
 }
 
 // cosimCheck steps the golden-model emulator one instruction and compares
-// architectural effects.
-// Co-simulation cross-checking is a verification configuration, never
-// a measured one.
-//
-//vca:cold
+// architectural effects. It runs at every committed instruction whenever
+// Config.CoSim is set, which DefaultConfig does, so it is part of every
+// measured default-configuration run and sits on the per-commit hot path
+// (perfbench reports its share of a run as cosim.share). Its only
+// allocations are the run-fatal mismatch errors.
 func (m *Machine) cosimCheck(th *thread, u *uop) error {
 	var info emu.StepInfo
 	if err := th.ref.StepInto(&info); err != nil {
+		//lint:hotalloc run-fatal error construction; executes at most once per run
 		return fmt.Errorf("core: co-sim reference error at cycle %d: %w", m.cycle, err)
 	}
 	if info.PC != u.pc {
+		//lint:hotalloc run-fatal error construction; executes at most once per run
 		return fmt.Errorf("core: co-sim PC mismatch at cycle %d: core %#x (%s), ref %#x (%s)",
 			m.cycle, u.pc, th.prog.SymbolFor(u.pc), info.PC, th.prog.SymbolFor(info.PC))
 	}
 	if u.destPhys >= 0 && u.destReg != isa.RegNone {
 		got := m.physVal[u.destPhys]
 		if info.Dest != u.destReg || info.DestVal != got {
+			//lint:hotalloc run-fatal error construction; executes at most once per run
 			return fmt.Errorf("core: co-sim dest mismatch at pc %#x (%s): core %v=%#x, ref %v=%#x",
 				u.pc, u.inst.DisasmAt(u.pc), u.destReg, got, info.Dest, info.DestVal)
 		}
 	}
 	if u.isStore() {
 		if !info.IsStore || info.Addr != u.ea || info.DestVal != u.storeData {
+			//lint:hotalloc run-fatal error construction; executes at most once per run
 			return fmt.Errorf("core: co-sim store mismatch at pc %#x (%s): core [%#x]=%#x, ref [%#x]=%#x",
 				u.pc, u.inst.DisasmAt(u.pc), u.ea, u.storeData, info.Addr, info.DestVal)
 		}
 	}
 	if u.isCtl && info.NextPC != u.actualNPC {
+		//lint:hotalloc run-fatal error construction; executes at most once per run
 		return fmt.Errorf("core: co-sim control mismatch at pc %#x (%s): core -> %#x, ref -> %#x",
 			u.pc, u.inst.DisasmAt(u.pc), u.actualNPC, info.NextPC)
 	}

@@ -23,6 +23,12 @@
 //     feature vectors the §3.2 clustering pipeline (internal/cluster)
 //     selects SMT workloads from.
 //
+// All three roles run on one interpreter, the predecoded micro-op engine
+// in fast.go: Run and FastRun execute it in batches, StepInto one
+// instruction at a time with a StepInfo report. A decode-per-step
+// reference interpreter survives only in the tests, as the differential
+// oracle both entry points are checked against.
+//
 // The emulator is deliberately microarchitecture-free: no caches, no
 // predictor, no timing — one architectural step per instruction, with
 // syscalls (print/exit) applied immediately. Determinism here anchors
@@ -98,8 +104,7 @@ type Machine struct {
 	prog *program.Program
 	mem  *mem.Memory
 	text []isa.Inst
-	meta []isa.Meta // predecoded operand/class view, index-aligned with text
-	fast []fastOp   // FastRun's micro-op array, built lazily (fast.go)
+	fast []fastOp // the micro-op array, index-aligned with text (fast.go)
 
 	pc      uint64
 	globals [isa.GlobalSlots]uint64
@@ -152,13 +157,13 @@ func New(p *program.Program, cfg Config) *Machine {
 		prog:    p,
 		mem:     mem.NewMemory(),
 		text:    p.Predecode(),
-		meta:    p.Meta(),
 		pc:      p.Entry,
 		windows: make([]frame, 1, 64),
 		wmask:   make([]uint32, 1, 64),
 	}
 	m.cur = &m.windows[0]
 	m.curMask = &m.wmask[0]
+	m.buildFast()
 	p.LoadInto(m.mem)
 	m.WriteReg(isa.RegSP, cfg.StackTop)
 	return m
@@ -244,151 +249,17 @@ func (m *Machine) pushWindow() {
 	}
 }
 
-func (m *Machine) popWindow() error {
-	if !m.cfg.Windowed {
-		return nil
-	}
-	if m.depth == 0 {
-		return fmt.Errorf("emu: register window underflow at pc %#x", m.pc)
-	}
-	m.depth--
-	m.cur = &m.windows[m.depth]
-	m.curMask = &m.wmask[m.depth]
-	return nil
-}
-
-// Step executes one instruction and reports what it did.
-func (m *Machine) Step() (StepInfo, error) {
-	var info StepInfo
-	err := m.StepInto(&info)
-	return info, err
-}
-
-// StepInto is Step without the by-value StepInfo return: callers on hot
-// paths (co-simulation steps once per committed instruction) reuse one
-// StepInfo instead of copying ~100 bytes per step.
-func (m *Machine) StepInto(info *StepInfo) error {
-	if m.exited {
-		*info = StepInfo{}
-		return fmt.Errorf("emu: program has exited")
-	}
-	if !m.prog.InText(m.pc) {
-		*info = StepInfo{}
-		return fmt.Errorf("emu: pc %#x outside text (%s)", m.pc, m.prog.SymbolFor(m.pc))
-	}
-	idx := (m.pc - m.prog.TextBase) / 4
-	inst := m.text[idx]
-	mt := &m.meta[idx]
-	*info = StepInfo{PC: m.pc, Inst: inst, Dest: isa.RegNone, NextPC: m.pc + 4}
-	if !inst.Op.Valid() {
-		return fmt.Errorf("emu: invalid instruction at %#x (%s)", m.pc, m.prog.SymbolFor(m.pc))
-	}
-	m.Stats.Insts++
-
-	switch mt.Class {
-	case isa.ClassIntALU, isa.ClassIntMul, isa.ClassIntDiv, isa.ClassFPALU, isa.ClassFPMul, isa.ClassFPDiv:
-		a := m.ReadReg(mt.SrcA)
-		var b uint64
-		if mt.HasImm {
-			b = mt.Imm
-		} else {
-			b = m.ReadReg(mt.SrcB)
-		}
-		v := isa.EvalALU(inst.Op, a, b)
-		m.WriteReg(mt.Dest, v)
-		info.Dest, info.DestVal = mt.Dest, v
-		if mt.Class <= isa.ClassIntDiv {
-			m.Stats.IntOps++
-		} else {
-			m.Stats.FPOps++
-		}
-
-	case isa.ClassLoad:
-		addr := inst.MemEA(m.ReadReg(mt.SrcA))
-		raw := m.mem.Read(addr, int(mt.MemBytes))
-		if mt.MemSigned {
-			raw = uint64(int64(int32(raw)))
-		}
-		m.WriteReg(mt.Dest, raw)
-		info.Dest, info.DestVal, info.Addr = mt.Dest, raw, addr
-		m.Stats.Loads++
-
-	case isa.ClassStore:
-		addr := inst.MemEA(m.ReadReg(mt.SrcA))
-		v := m.ReadReg(mt.SrcB)
-		size := int(mt.MemBytes)
-		if size < 8 {
-			v &= 1<<(8*size) - 1 // report the stored (truncated) value
-		}
-		m.mem.Write(addr, size, v)
-		info.IsStore, info.Addr, info.DestVal = true, addr, v
-		m.Stats.Stores++
-
-	case isa.ClassBranch:
-		m.Stats.CondBranches++
-		if isa.BranchTaken(inst.Op, m.ReadReg(mt.SrcA)) {
-			t, _ := inst.ControlTarget(m.pc)
-			info.NextPC, info.Taken = t, true
-			m.Stats.TakenCond++
-		}
-
-	case isa.ClassJump:
-		if inst.Op == isa.OpJmp {
-			t, _ := inst.ControlTarget(m.pc)
-			info.NextPC = t
-		} else {
-			info.NextPC = m.ReadReg(mt.SrcA)
-		}
-		info.Taken = true
-
-	case isa.ClassCall:
-		ret := m.pc + 4
-		var t uint64
-		if inst.Op == isa.OpJsr {
-			t, _ = inst.ControlTarget(m.pc)
-		} else {
-			t = m.ReadReg(mt.SrcA)
-		}
-		// ra is global, so it is written before the window rotates (and
-		// would be visible either way).
-		m.WriteReg(isa.RegRA, ret)
-		m.pushWindow()
-		info.Dest, info.DestVal = isa.RegRA, ret
-		info.NextPC, info.Taken = t, true
-		m.Stats.Calls++
-
-	case isa.ClassRet:
-		t := m.ReadReg(mt.SrcA)
-		if err := m.popWindow(); err != nil {
-			return err
-		}
-		info.NextPC, info.Taken = t, true
-		m.Stats.Returns++
-
-	case isa.ClassSyscall:
-		if err := m.syscall(inst.Imm); err != nil {
-			return err
-		}
-		m.Stats.Syscalls++
-
-	default:
-		return fmt.Errorf("emu: unhandled class for %v at %#x", inst.Op, m.pc)
-	}
-
-	m.pc = info.NextPC
-	return nil
-}
-
-// Run executes until exit, error, or the instruction budget is exhausted.
+// Run executes until exit, error, or the instruction budget
+// (Config.MaxInsts, counted in Stats.Insts) is exhausted.
 func (m *Machine) Run() (StopReason, error) {
-	var info StepInfo
-	for m.Stats.Insts < m.cfg.MaxInsts {
-		if err := m.StepInto(&info); err != nil {
-			return StopError, err
-		}
-		if m.exited {
-			return StopExited, nil
-		}
+	if m.Stats.Insts >= m.cfg.MaxInsts {
+		return StopMaxInsts, nil
+	}
+	if _, err := m.FastRun(m.cfg.MaxInsts - m.Stats.Insts); err != nil {
+		return StopError, err
+	}
+	if m.exited {
+		return StopExited, nil
 	}
 	return StopMaxInsts, nil
 }

@@ -286,15 +286,14 @@ main:   li  t0, 5
         stq t0, 0(sp)
         syscall 0
 `), Config{})
-	info, err := m.Step()
-	if err != nil {
+	var info StepInfo
+	if err := m.StepInto(&info); err != nil {
 		t.Fatal(err)
 	}
 	if info.Dest != isa.RegT0 || info.DestVal != 5 {
 		t.Errorf("li step info: %+v", info)
 	}
-	info, err = m.Step()
-	if err != nil {
+	if err := m.StepInto(&info); err != nil {
 		t.Fatal(err)
 	}
 	if !info.IsStore || info.Addr != program.StackTop || info.DestVal != 5 {
@@ -320,7 +319,8 @@ func TestWindowUnderflowDetected(t *testing.T) {
 
 func TestErrorOnExitedStep(t *testing.T) {
 	m := run(t, "main: syscall 0", Config{})
-	if _, err := m.Step(); err == nil {
+	var info StepInfo
+	if err := m.StepInto(&info); err == nil {
 		t.Error("step after exit should error")
 	}
 }

@@ -1,20 +1,27 @@
-// The fast functional engine: a predecoded, operand-resolved micro-op
-// array driven by a tight switch-dispatch loop. Step/StepInto remain the
-// reference interpreter (and the co-simulation oracle); FastRun is the
-// throughput path used for fast-forward warmup and for manufacturing
-// region checkpoints, and is differentially tested against StepInto
-// instruction-by-instruction (fast_test.go).
+// The predecoded engine: the package's only interpreter. Predecode
+// resolves, once per static instruction, everything a decode-per-step
+// interpreter would re-derive per dynamic instruction: register operands
+// become direct frame/global slot indices (regSlot applied at build
+// time), pc-relative control targets are pre-linked to absolute
+// addresses, the hottest ALU shapes and all six branch conditions get
+// their own dispatch kinds so the common path never calls EvalALU or
+// BranchTaken, and window push/pop is specialized into the call/ret
+// cases.
 //
-// Predecode resolves, once per static instruction, everything StepInto
-// re-derives per dynamic instruction: register operands become direct
-// frame/global slot indices (regSlot applied at build time), pc-relative
-// control targets are pre-linked to absolute addresses, the hottest ALU
-// shapes and all six branch conditions get their own dispatch kinds so
-// the common path never calls EvalALU or BranchTaken, and window
-// push/pop is specialized into the call/ret cases. The loop keeps its
-// statistics in locals and flushes them on exit, so steady-state
-// execution performs no per-instruction allocation at all (enforced by
-// TestFastRunZeroAlloc).
+// Two entry points drive the one micro-op array. FastRun is the
+// throughput loop behind Run (profiling, Table 2), fast-forward warmup
+// and region checkpoints: it keeps its statistics in locals and flushes
+// them on exit, so steady-state execution performs no per-instruction
+// allocation at all (enforced by TestFastRunZeroAlloc). StepInto is the
+// co-simulation step the detailed core takes once per committed
+// instruction: it executes straight-line micro-ops itself, reporting
+// what they did in a StepInfo, and hands control transfers, syscalls
+// and faults to FastRun(1). Both are differentially tested against a
+// decode-per-step reference interpreter kept in the tests
+// (oracle_test.go); at every co-simulated commit the detailed core's own
+// isa.Decode/MetaOf execute path is the independent check of the
+// predecoder.
+
 package emu
 
 import (
@@ -23,23 +30,28 @@ import (
 	"vca/internal/isa"
 )
 
-// fastKind is the dispatch code of one predecoded micro-op.
+// fastKind is the dispatch code of one predecoded micro-op. The ALU
+// kinds are contiguous (integer, then floating point), so StepInto can
+// classify a micro-op with two comparisons.
 type fastKind uint8
 
 const (
-	// fkInvalid marks an undecodable word: executing it reproduces
-	// StepInto's "invalid instruction" error (no instruction counted).
+	// fkInvalid marks an undecodable word: executing it errors with
+	// "invalid instruction" without counting it.
 	fkInvalid fastKind = iota
-	// fkUnhandled marks a valid opcode whose class the interpreter does
-	// not execute; it counts the instruction and then errors, exactly as
-	// StepInto's default case does.
+	// fkUnhandled marks a valid opcode whose class the engine does not
+	// execute; it counts the instruction and then errors.
 	fkUnhandled
-	fkALU    // generic integer reg-reg ALU via EvalALU
-	fkALUImm // generic integer reg-imm ALU via EvalALU
-	fkALUFP  // generic floating-point ALU via EvalALU
 	fkAdd    // specialized: add
 	fkAddImm // specialized: addi
 	fkSub    // specialized: sub
+	fkOr     // specialized: or (and the mov pseudo-op)
+	fkOrImm  // specialized: ori
+	fkSllImm // specialized: slli, shift pre-masked into imm
+	fkALU    // generic integer reg-reg ALU via EvalALU
+	fkALUImm // generic integer reg-imm ALU via EvalALU
+	fkFMov   // specialized: fmov
+	fkALUFP  // generic floating-point ALU via EvalALU
 	fkLoad   // memory load (size/sign in memBytes/memSigned)
 	fkStore  // memory store
 	fkBeq    // specialized branches: condition inline, target pre-linked
@@ -54,34 +66,42 @@ const (
 	fkCallInd // register-indirect call
 	fkRet     // return: pops a window frame if windowed
 	fkSyscall // syscall, code in imm
+
+	fkFirstALU = fkAdd
+	fkFirstFP  = fkFMov
+	fkLastALU  = fkALUFP
 )
 
 // fastOp is one predecoded micro-op. Operand fields hold resolved regSlot
 // indices (-1 = zero register / absent: reads yield 0, writes discard).
 // imm is overloaded by kind: the ALU immediate operand, the sign-extended
 // memory displacement, the pre-linked absolute control target, or the
-// syscall code.
+// syscall code. An ALU op's second operand is always rslot(srcB)+imm:
+// register forms carry imm 0 and immediate forms carry srcB -1.
 type fastOp struct {
 	imm        uint64
 	op         isa.Op
 	kind       fastKind
 	srcA, srcB int8
 	dest       int8
+	destReg    isa.Reg // architectural destination, as StepInfo reports it
 	memBytes   uint8
 	memSigned  bool
 }
 
-// buildFast predecodes the program text into the micro-op array. The
-// array is built lazily on the first FastRun and is immutable afterwards
-// (text never changes).
+// buildFast predecodes the program text into the micro-op array. New
+// builds it once; it is immutable afterwards (text never changes).
 func (m *Machine) buildFast() {
+	meta := m.prog.Meta()
 	ops := make([]fastOp, len(m.text))
 	for i := range m.text {
 		inst := m.text[i]
-		mt := &m.meta[i]
+		mt := &meta[i]
 		pc := m.prog.TextBase + uint64(i)*4
 		f := &ops[i]
 		f.op = inst.Op
+		f.srcA, f.srcB, f.dest = -1, -1, -1
+		f.destReg = isa.RegNone
 		if !inst.Op.Valid() {
 			f.kind = fkInvalid
 			continue
@@ -90,23 +110,33 @@ func (m *Machine) buildFast() {
 		case isa.ClassIntALU, isa.ClassIntMul, isa.ClassIntDiv,
 			isa.ClassFPALU, isa.ClassFPMul, isa.ClassFPDiv:
 			f.srcA = regSlot[mt.SrcA]
-			f.srcB = regSlot[mt.SrcB]
 			f.dest = regSlot[mt.Dest]
-			fp := mt.Class > isa.ClassIntDiv
-			switch {
-			case mt.HasImm:
+			f.destReg = mt.Dest
+			if mt.HasImm {
 				f.imm = mt.Imm
-				if inst.Op == isa.OpAddI {
-					f.kind = fkAddImm
-				} else {
-					f.kind = fkALUImm
-				}
-			case fp:
+			} else {
+				f.srcB = regSlot[mt.SrcB]
+			}
+			switch {
+			case mt.Class > isa.ClassIntDiv && inst.Op == isa.OpFMov:
+				f.kind = fkFMov
+			case mt.Class > isa.ClassIntDiv:
 				f.kind = fkALUFP
 			case inst.Op == isa.OpAdd:
 				f.kind = fkAdd
+			case inst.Op == isa.OpAddI:
+				f.kind = fkAddImm
 			case inst.Op == isa.OpSub:
 				f.kind = fkSub
+			case inst.Op == isa.OpOr:
+				f.kind = fkOr
+			case inst.Op == isa.OpOrI:
+				f.kind = fkOrImm
+			case inst.Op == isa.OpSllI:
+				f.kind = fkSllImm
+				f.imm &= 63
+			case mt.HasImm:
+				f.kind = fkALUImm
 			default:
 				f.kind = fkALU
 			}
@@ -114,6 +144,7 @@ func (m *Machine) buildFast() {
 			f.kind = fkLoad
 			f.srcA = regSlot[mt.SrcA]
 			f.dest = regSlot[mt.Dest]
+			f.destReg = mt.Dest
 			f.imm = uint64(int64(inst.Imm))
 			f.memBytes = mt.MemBytes
 			f.memSigned = mt.MemSigned
@@ -159,6 +190,7 @@ func (m *Machine) buildFast() {
 				f.srcA = regSlot[mt.SrcA]
 			}
 			f.dest = regSlot[isa.RegRA]
+			f.destReg = isa.RegRA
 		case isa.ClassRet:
 			f.kind = fkRet
 			f.srcA = regSlot[mt.SrcA]
@@ -196,21 +228,17 @@ func (m *Machine) wslot(s int8, v uint64) {
 	m.globals[s-isa.WindowSlots] = v
 }
 
-// FastRun executes up to n instructions through the predecoded engine and
-// returns how many actually executed. It stops early — with executed < n
-// and a nil error — when the program exits; it stops with an error on
-// exactly the conditions StepInto errors on (invalid instruction, pc
-// outside text, window underflow, bad syscall), leaving the machine in
-// the same state the interpreter would. Architectural state, statistics,
-// and output after FastRun(n) are bit-identical to n StepInto calls
-// (enforced by the lockstep differential test). FastRun ignores
+// FastRun executes up to n instructions and returns how many actually
+// executed. It stops early — with executed < n and a nil error — when
+// the program exits; it stops with an error on an invalid instruction, a
+// pc outside text, window underflow, or a bad syscall, with every
+// instruction before the fault applied. Architectural state, statistics,
+// and output after FastRun(n) are bit-identical to n single steps
+// (enforced by the lockstep differential tests). FastRun ignores
 // Config.MaxInsts: the caller's n is the budget.
 func (m *Machine) FastRun(n uint64) (executed uint64, err error) {
 	if m.exited {
 		return 0, fmt.Errorf("emu: program has exited")
-	}
-	if m.fast == nil {
-		m.buildFast()
 	}
 	var (
 		ops  = m.fast
@@ -258,6 +286,18 @@ func (m *Machine) FastRun(n uint64) (executed uint64, err error) {
 			m.wslot(f.dest, m.rslot(f.srcA)-m.rslot(f.srcB))
 			intOps++
 			pc += 4
+		case fkOr:
+			m.wslot(f.dest, m.rslot(f.srcA)|m.rslot(f.srcB))
+			intOps++
+			pc += 4
+		case fkOrImm:
+			m.wslot(f.dest, m.rslot(f.srcA)|f.imm)
+			intOps++
+			pc += 4
+		case fkSllImm:
+			m.wslot(f.dest, m.rslot(f.srcA)<<f.imm)
+			intOps++
+			pc += 4
 		case fkALU:
 			m.wslot(f.dest, isa.EvalALU(f.op, m.rslot(f.srcA), m.rslot(f.srcB)))
 			intOps++
@@ -265,6 +305,10 @@ func (m *Machine) FastRun(n uint64) (executed uint64, err error) {
 		case fkALUImm:
 			m.wslot(f.dest, isa.EvalALU(f.op, m.rslot(f.srcA), f.imm))
 			intOps++
+			pc += 4
+		case fkFMov:
+			m.wslot(f.dest, m.rslot(f.srcA))
+			fpOps++
 			pc += 4
 		case fkALUFP:
 			m.wslot(f.dest, isa.EvalALU(f.op, m.rslot(f.srcA), m.rslot(f.srcB)))
@@ -353,9 +397,7 @@ func (m *Machine) FastRun(n uint64) (executed uint64, err error) {
 			t := m.rslot(f.srcA)
 			if m.cfg.Windowed {
 				if m.depth == 0 {
-					// Match popWindow's error (StepInto counts the
-					// instruction before popping).
-					insts++
+					insts++ // the faulting return is counted
 					return executed, fmt.Errorf("emu: register window underflow at pc %#x", pc)
 				}
 				m.depth--
@@ -369,7 +411,7 @@ func (m *Machine) FastRun(n uint64) (executed uint64, err error) {
 			// syscall reads registers and reports errors against m.pc.
 			m.pc = pc
 			if err := m.syscall(int32(f.imm)); err != nil {
-				insts++ // StepInto counts the instruction before the error
+				insts++ // the faulting syscall is counted
 				return executed, err
 			}
 			syscalls++
@@ -391,4 +433,69 @@ func (m *Machine) FastRun(n uint64) (executed uint64, err error) {
 		executed++
 	}
 	return executed, nil
+}
+
+// StepInto executes one instruction and reports what it did; the
+// detailed core calls it once per committed instruction to co-simulate.
+// ALU, load and store micro-ops run here, straight from the micro-op
+// array; control transfers, syscalls and faults run through FastRun(1)
+// and are read back from the machine state. An error leaves info
+// holding the faulting instruction's pc and word (zeroed when the
+// machine has exited or the pc is outside text).
+func (m *Machine) StepInto(info *StepInfo) error {
+	pc := m.pc
+	idx := (pc - m.prog.TextBase) >> 2
+	if m.exited || idx >= uint64(len(m.fast)) || pc&3 != 0 {
+		*info = StepInfo{}
+		_, err := m.FastRun(1) // reports the fault
+		return err
+	}
+	f := &m.fast[idx]
+	// Zero, then fill: a composite literal would be built in a stack
+	// temporary and copied out through a store-forwarding stall.
+	*info = StepInfo{}
+	info.PC, info.Inst, info.Dest, info.NextPC = pc, m.text[idx], isa.RegNone, pc+4
+	switch {
+	case f.kind >= fkFirstALU && f.kind <= fkLastALU:
+		v := isa.EvalALU(f.op, m.rslot(f.srcA), m.rslot(f.srcB)+f.imm)
+		m.wslot(f.dest, v)
+		info.Dest, info.DestVal = f.destReg, v
+		if f.kind >= fkFirstFP {
+			m.Stats.FPOps++
+		} else {
+			m.Stats.IntOps++
+		}
+	case f.kind == fkLoad:
+		addr := m.rslot(f.srcA) + f.imm
+		raw := m.mem.Read(addr, int(f.memBytes))
+		if f.memSigned {
+			raw = uint64(int64(int32(raw)))
+		}
+		m.wslot(f.dest, raw)
+		info.Dest, info.DestVal, info.Addr = f.destReg, raw, addr
+		m.Stats.Loads++
+	case f.kind == fkStore:
+		addr := m.rslot(f.srcA) + f.imm
+		v := m.rslot(f.srcB)
+		if f.memBytes < 8 {
+			v &= 1<<(8*f.memBytes) - 1 // report the stored (truncated) value
+		}
+		m.mem.Write(addr, int(f.memBytes), v)
+		info.IsStore, info.Addr, info.DestVal = true, addr, v
+		m.Stats.Stores++
+	default:
+		taken := m.Stats.TakenCond
+		if _, err := m.FastRun(1); err != nil {
+			return err
+		}
+		info.NextPC = m.pc
+		info.Taken = f.kind >= fkJump && f.kind <= fkRet || m.Stats.TakenCond != taken
+		if f.kind == fkCall || f.kind == fkCallInd {
+			info.Dest, info.DestVal = f.destReg, pc+4
+		}
+		return nil
+	}
+	m.Stats.Insts++
+	m.pc = pc + 4
+	return nil
 }

@@ -11,77 +11,108 @@ import (
 )
 
 // compareMachines fails the test at the first architectural difference
-// between the reference interpreter and the fast engine: pc, statistics,
-// window depth, every live register, output, and exit state. Memory is
-// compared only when deep is set (snapshotting is too expensive per
-// step).
-func compareMachines(t *testing.T, tag string, ref, fast *Machine, deep bool) {
+// between the reference interpreter and a machine under test: pc,
+// statistics, window depth, every live register, output, and exit state.
+// Memory is compared only when deep is set (snapshotting is too
+// expensive per step).
+func compareMachines(t testing.TB, tag string, ref, got *Machine, deep bool) {
 	t.Helper()
-	if ref.pc != fast.pc {
-		t.Fatalf("%s: pc: interpreter %#x, fast %#x", tag, ref.pc, fast.pc)
+	if ref.pc != got.pc {
+		t.Fatalf("%s: pc: oracle %#x, engine %#x", tag, ref.pc, got.pc)
 	}
-	if ref.Stats != fast.Stats {
-		t.Fatalf("%s: stats: interpreter %+v, fast %+v", tag, ref.Stats, fast.Stats)
+	if ref.Stats != got.Stats {
+		t.Fatalf("%s: stats: oracle %+v, engine %+v", tag, ref.Stats, got.Stats)
 	}
-	if ref.depth != fast.depth {
-		t.Fatalf("%s: depth: interpreter %d, fast %d", tag, ref.depth, fast.depth)
+	if ref.depth != got.depth {
+		t.Fatalf("%s: depth: oracle %d, engine %d", tag, ref.depth, got.depth)
 	}
-	if ref.globals != fast.globals {
+	if ref.globals != got.globals {
 		t.Fatalf("%s: globals diverged", tag)
 	}
 	for d := 0; d <= ref.depth; d++ {
-		if ref.windows[d] != fast.windows[d] {
+		if ref.windows[d] != got.windows[d] {
 			t.Fatalf("%s: window frame %d diverged", tag, d)
 		}
-		if ref.wmask[d] != fast.wmask[d] {
-			t.Fatalf("%s: window write mask %d: interpreter %#x, fast %#x", tag, d, ref.wmask[d], fast.wmask[d])
+		if ref.wmask[d] != got.wmask[d] {
+			t.Fatalf("%s: window write mask %d: oracle %#x, engine %#x", tag, d, ref.wmask[d], got.wmask[d])
 		}
 	}
-	if ref.Output.String() != fast.Output.String() {
-		t.Fatalf("%s: output: interpreter %q, fast %q", tag, ref.Output.String(), fast.Output.String())
+	if ref.Output.String() != got.Output.String() {
+		t.Fatalf("%s: output: oracle %q, engine %q", tag, ref.Output.String(), got.Output.String())
 	}
 	re, rc := ref.Exited()
-	fe, fc := fast.Exited()
-	if re != fe || rc != fc {
-		t.Fatalf("%s: exit state: interpreter (%v,%d), fast (%v,%d)", tag, re, rc, fe, fc)
+	ge, gc := got.Exited()
+	if re != ge || rc != gc {
+		t.Fatalf("%s: exit state: oracle (%v,%d), engine (%v,%d)", tag, re, rc, ge, gc)
 	}
-	if deep && !ref.mem.EqualContents(fast.mem) {
+	if deep && !ref.mem.EqualContents(got.mem) {
 		t.Fatalf("%s: memory diverged", tag)
 	}
 }
 
-// lockstep drives the same program through StepInto and FastRun(1) and
-// compares full architectural state after every instruction, then does a
-// final deep (memory) comparison.
-func lockstep(t *testing.T, prog *program.Program, windowed bool, budget int) {
+// sameErr reports whether two errors are both nil or carry the same text.
+func sameErr(a, b error) bool {
+	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
+}
+
+// Lockstep drives one program through the reference interpreter,
+// StepInto, and FastRun(1) side by side. After every instruction it
+// checks that StepInto's StepInfo equals the oracle's in every field and
+// that the errors match; every `every` instructions (and at the end,
+// including memory) it compares full architectural state of both engines
+// against the oracle. It stops at exit, at the first error, or after
+// budget instructions, and returns how many it stepped.
+func Lockstep(t testing.TB, prog *program.Program, windowed bool, budget, every int) int {
 	t.Helper()
 	ref := New(prog, Config{Windowed: windowed})
+	step := New(prog, Config{Windowed: windowed})
 	fast := New(prog, Config{Windowed: windowed})
-	var info StepInfo
-	for i := 0; i < budget; i++ {
-		errR := ref.StepInto(&info)
+	var want, got StepInfo
+	i := 0
+	for ; i < budget; i++ {
+		errR := ref.oracleStepInto(&want)
+		errS := step.StepInto(&got)
 		_, errF := fast.FastRun(1)
-		if (errR == nil) != (errF == nil) {
-			t.Fatalf("step %d: interpreter err %v, fast err %v", i, errR, errF)
+		if want != got || !sameErr(errR, errS) || !sameErr(errR, errF) {
+			t.Fatalf("step %d (pc %#x):\n oracle   %+v err %v\n StepInto %+v err %v\n FastRun err %v",
+				i, want.PC, want, errR, got, errS, errF)
 		}
 		if errR != nil {
-			if errR.Error() != errF.Error() {
-				t.Fatalf("step %d: error text: interpreter %q, fast %q", i, errR, errF)
-			}
 			break
 		}
-		compareMachines(t, fmt.Sprintf("step %d (pc %#x)", i, info.PC), ref, fast, false)
+		if i%every == 0 {
+			tag := fmt.Sprintf("step %d (pc %#x)", i, want.PC)
+			compareMachines(t, tag+" StepInto", ref, step, false)
+			compareMachines(t, tag+" FastRun", ref, fast, false)
+		}
 		if ex, _ := ref.Exited(); ex {
 			break
 		}
 	}
-	compareMachines(t, "final", ref, fast, true)
+	compareMachines(t, "final StepInto", ref, step, true)
+	compareMachines(t, "final FastRun", ref, fast, true)
+	return i
 }
 
-// TestFastRunLockstepProgen differentially tests FastRun against the
-// reference interpreter instruction-by-instruction over randomly
-// generated programs, in both ABI variants (progen output is dual-ABI
-// safe: the same source runs flat and windowed).
+// RunMatchesOracle runs a program with Run and with the reference
+// interpreter, checks the stop reason, error, and complete end state
+// (memory included) agree, and returns Run's machine and stop reason.
+func RunMatchesOracle(t testing.TB, prog *program.Program, cfg Config) (*Machine, StopReason) {
+	t.Helper()
+	ref, got := New(prog, cfg), New(prog, cfg)
+	rr, errR := ref.oracleRun()
+	gr, errG := got.Run()
+	if rr != gr || !sameErr(errR, errG) {
+		t.Fatalf("Run: oracle (%v, %v), engine (%v, %v)", rr, errR, gr, errG)
+	}
+	compareMachines(t, "Run", ref, got, true)
+	return got, gr
+}
+
+// TestFastRunLockstepProgen differentially tests StepInto and FastRun
+// against the reference interpreter instruction-by-instruction over
+// randomly generated programs, in both ABI variants (progen output is
+// dual-ABI safe: the same source runs flat and windowed).
 func TestFastRunLockstepProgen(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34}
 	if testing.Short() {
@@ -98,7 +129,7 @@ func TestFastRunLockstepProgen(t *testing.T) {
 		}
 		for _, windowed := range []bool{false, true} {
 			t.Run(fmt.Sprintf("seed%d/windowed=%v", seed, windowed), func(t *testing.T) {
-				lockstep(t, prog, windowed, 50_000)
+				Lockstep(t, prog, windowed, 50_000, 1)
 			})
 		}
 	}
@@ -106,7 +137,7 @@ func TestFastRunLockstepProgen(t *testing.T) {
 
 // TestFastRunBatchEquivalence runs the fast engine in large batches (the
 // way fast-forward uses it) and checks the end state matches a pure
-// StepInto run — catching anything that only breaks across batch
+// reference-interpreter run — catching anything that only breaks across batch
 // boundaries (stat flushing, pc handoff, window state caching).
 func TestFastRunBatchEquivalence(t *testing.T) {
 	for _, seed := range []int64{7, 11} {
@@ -126,8 +157,8 @@ func TestFastRunBatchEquivalence(t *testing.T) {
 					t.Fatalf("FastRun: %v", err)
 				}
 				for i := uint64(0); i < ran; i++ {
-					if err := ref.StepInto(&info); err != nil {
-						t.Fatalf("StepInto: %v", err)
+					if err := ref.oracleStepInto(&info); err != nil {
+						t.Fatalf("oracle step: %v", err)
 					}
 				}
 				total += ran
@@ -150,7 +181,8 @@ func TestFastRunBatchEquivalence(t *testing.T) {
 // floor — but the floor here is exactly zero.
 func TestFastRunZeroAlloc(t *testing.T) {
 	// A pure compute loop that never exits (FastRun's budget bounds it):
-	// no syscalls, since output formatting allocates.
+	// no syscalls, since output formatting allocates. It runs every
+	// specialized ALU kind.
 	src := `
 	.text
 main:
@@ -159,6 +191,10 @@ loop:
 	addi t0, t0, 1
 	add  t1, t0, t0
 	sub  t2, t1, t0
+	or   t3, t1, t2
+	ori  t3, t3, 5
+	slli t3, t3, 2
+	fmov fs1, fs0
 	bne  t0, loop
 	jmp  loop
 `
