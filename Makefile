@@ -17,16 +17,20 @@ test:
 test-race:
 	$(GO) test -race -timeout 30m ./...
 
-# Short-budget native fuzzing over the four fuzz targets (assembler,
-# mini-C compiler, whole-stack lockstep, checkpoint decoder). Each target
-# gets a small time budget on top of replaying its committed corpus;
-# failures minimize into testdata/fuzz/ automatically.
+# Short-budget native fuzzing over the five fuzz targets (assembler,
+# mini-C compiler, whole-stack lockstep, checkpoint decoder, result-cache
+# entry and index decoding). Each target gets a small time budget on top
+# of replaying its committed corpus; failures minimize into testdata/fuzz/
+# automatically. Cache entries are kilobytes and every execution writes
+# two files, so minimizing each new interesting entry under the default
+# 60 s budget would use up the smoke budget; its minimization is capped.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/minic -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRandomProgramsLockstep$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/emu -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/simcache -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x
 
 # Fixed-seed config-space lockstep sweep (see docs/VERIFICATION.md).
 sweep:
@@ -127,9 +131,10 @@ docs-check:
 	$(GO) vet ./...
 	$(GO) run ./internal/tools/linkcheck
 
-# Simulator throughput microbenchmarks (ns/inst, simMIPS, allocs/inst).
+# Simulator throughput microbenchmarks (ns/inst, simMIPS, allocs/inst)
+# and result-cache key and hit costs (ns/op, allocs/op).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkVCAEvictUnderPressure|BenchmarkCosimStep' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkVCAEvictUnderPressure|BenchmarkCosimStep|BenchmarkSimcacheKey|BenchmarkSimcacheHit' -benchmem .
 
 # Throughput smoke gate (wired into `make ci`): BenchmarkSimThroughput at
 # a fixed -benchtime, best-of-3, compared against the committed baseline

@@ -18,6 +18,7 @@ import (
 	"vca/internal/minic"
 	"vca/internal/program"
 	"vca/internal/rename"
+	"vca/internal/simcache"
 	"vca/internal/workload"
 )
 
@@ -476,4 +477,82 @@ func BenchmarkCacheAccess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.DataAccess(uint64(i*64%(1<<20)), i%4 == 0, mem.CauseProgram)
 	}
+}
+
+// --- Result-cache micro-benchmarks (internal/simcache) ---
+
+// simcacheBenchJob is one service cell (crafty on the windowed VCA
+// machine at 256 registers, a 2,000-instruction budget) as
+// server.RunCell builds it.
+func simcacheBenchJob(b *testing.B) (core.Config, []*program.Program, bool) {
+	b.Helper()
+	bench, err := workload.ByName("crafty")
+	if err != nil {
+		b.Fatal(err)
+	}
+	arch := experiments.ArchVCAWindow
+	cfg, ok := arch.Config(1, 256, 2)
+	if !ok {
+		b.Fatal("vca-windowed rejects 256 registers")
+	}
+	cfg.StopAfter = 2000
+	cfg.MaxCycles = 1 << 34
+	prog, err := bench.Build(arch.ABI())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cfg, []*program.Program{prog}, arch.ABI() == minic.ABIWindowed
+}
+
+var simcacheBenchSink any
+
+// BenchmarkSimcacheKey measures one cell's content-address derivation,
+// simcache.Key: the config fingerprint plus one digest per program.
+func BenchmarkSimcacheKey(b *testing.B) {
+	cfg, progs, windowed := simcacheBenchJob(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		simcacheBenchSink = simcache.Key(cfg, progs, windowed)
+	}
+}
+
+// BenchmarkSimcacheHit measures a lookup of one stored cell. cold opens
+// the cache directory afresh per op, so every lookup reads, decodes and
+// verifies the entry file; view repeats the lookup on one open cache.
+func BenchmarkSimcacheHit(b *testing.B) {
+	cfg, progs, windowed := simcacheBenchJob(b)
+	dir := b.TempDir()
+	cache, err := simcache.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, _, err := cache.RunMachine(cfg, progs, windowed); err != nil {
+		b.Fatal(err)
+	}
+	key := simcache.Key(cfg, progs, windowed)
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c, err := simcache.Open(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, ok := c.Get(key)
+			if !ok {
+				b.Fatal("stored cell missed")
+			}
+			simcacheBenchSink = e
+		}
+	})
+	b.Run("view", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e, ok := cache.Get(key)
+			if !ok {
+				b.Fatal("stored cell missed")
+			}
+			simcacheBenchSink = e
+		}
+	})
 }

@@ -59,7 +59,7 @@ var (
 
 	flagWorkers    = flag.Int("workers", 0, "cell-executing worker goroutines (0 = GOMAXPROCS)")
 	flagQueue      = flag.Int("queue", 4096, "maximum queued cells across all tenants; submissions beyond it get HTTP 429")
-	flagMaxCells   = flag.Int("maxcells", 1024, "maximum cells one sweep may expand to; larger submissions get HTTP 400")
+	flagMaxCells   = flag.Int("maxcells", server.DefaultMaxCellsPerSweep, "maximum cells one sweep may expand to; larger submissions get HTTP 400")
 	flagJobTimeout = flag.Duration("jobtimeout", 10*time.Minute, "default per-job wall-time budget (requests may override with timeout_sec)")
 
 	flagRoute    = flag.String("route", "", "run as a shard router over this comma-separated worker URL list instead of executing cells locally")

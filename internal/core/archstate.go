@@ -194,7 +194,7 @@ func (m *Machine) ExtractCheckpoint(t int) (*emu.Checkpoint, error) {
 	ck := &emu.Checkpoint{
 		Version:     emu.CheckpointVersion,
 		Program:     th.prog.Name,
-		ProgramHash: emu.ProgramHash(th.prog),
+		ProgramHash: th.prog.Digest(),
 		Windowed:    th.windowed,
 		PC:          th.commitPC,
 		Globals:     make([]uint64, isa.GlobalSlots),

@@ -18,7 +18,6 @@ package emu
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -37,9 +36,9 @@ const CheckpointVersion = 1
 // Checkpoint is one serializable architectural-state image.
 type Checkpoint struct {
 	Version int `json:"version"`
-	// Program names the binary this state belongs to; ProgramHash pins
-	// the exact image (text, data, entry) so a checkpoint can never be
-	// restored onto a different program.
+	// Program names the binary this state belongs to; ProgramHash
+	// (program.Program.Digest) pins the exact image (text, data, entry)
+	// so a checkpoint can never be restored onto a different program.
 	Program     string `json:"program"`
 	ProgramHash string `json:"program_hash"`
 	// Windowed records the ABI mode the state was produced under; frames
@@ -71,34 +70,13 @@ type Checkpoint struct {
 	Checksum string `json:"checksum,omitempty"`
 }
 
-// ProgramHash returns the content hash of a program image (text words,
-// data bytes, load addresses, entry point). It is the program-identity
-// component of checkpoint validation and of checkpoint cache keys.
-func ProgramHash(p *program.Program) string {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], p.TextBase)
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], p.DataBase)
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], p.Entry)
-	h.Write(buf[:])
-	var word [4]byte
-	for _, w := range p.Text {
-		binary.LittleEndian.PutUint32(word[:], uint32(w))
-		h.Write(word[:])
-	}
-	h.Write(p.Data)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // Checkpoint captures the machine's current architectural state as a
 // deep-copied, serializable image.
 func (m *Machine) Checkpoint() *Checkpoint {
 	ck := &Checkpoint{
 		Version:     CheckpointVersion,
 		Program:     m.prog.Name,
-		ProgramHash: ProgramHash(m.prog),
+		ProgramHash: m.prog.Digest(),
 		Windowed:    m.cfg.Windowed,
 		Insts:       m.Stats.Insts,
 		PC:          m.pc,
@@ -123,7 +101,7 @@ func (ck *Checkpoint) Validate(p *program.Program, windowed bool) error {
 	if ck.Version != CheckpointVersion {
 		return fmt.Errorf("emu: checkpoint version %d, this build reads %d", ck.Version, CheckpointVersion)
 	}
-	if h := ProgramHash(p); ck.ProgramHash != h {
+	if h := p.Digest(); ck.ProgramHash != h {
 		return fmt.Errorf("emu: checkpoint was taken from program %q (hash %.12s), not this %q (hash %.12s)",
 			ck.Program, ck.ProgramHash, p.Name, h)
 	}

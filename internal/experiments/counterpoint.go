@@ -134,7 +134,7 @@ func RunMatrixCell(c MatrixCell, stop uint64, cc *simcache.Cache) (counters, par
 		}
 		_, counters, _, err = cc.RunMachineFrom(cfg, progs, windowed, cks)
 	} else {
-		_, counters, _, err = cc.RunMachineShared(cfg, progs, windowed)
+		_, counters, _, err = cc.RunMachineShared(simcache.Key(cfg, progs, windowed), cfg, progs, windowed)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("counterpoint: %s: %w", c.Name, err)

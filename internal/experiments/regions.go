@@ -99,7 +99,7 @@ type regionBoundary struct {
 // later sweep over the same program reuses the walk.
 func planRegions(prog *program.Program, windowed bool, opts RegionOptions, c *simcache.Cache) ([]regionBoundary, error) {
 	bounds := []regionBoundary{{startInsts: 0}}
-	progHash := emu.ProgramHash(prog)
+	progHash := prog.Digest()
 	fm := emu.New(prog, emu.Config{Windowed: windowed})
 	pos := uint64(0)
 	for i := 1; i < opts.Regions; i++ {

@@ -6,6 +6,9 @@ package program
 
 import (
 	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"strings"
@@ -44,6 +47,11 @@ type Program struct {
 	decodeOnce sync.Once
 	decoded    []isa.Inst
 	meta       []isa.Meta
+
+	// Lazily-computed content digest (see Digest); the image must not be
+	// mutated once Digest has run.
+	digestOnce sync.Once
+	digest     string
 }
 
 // TextEnd returns the first address past the text segment.
@@ -94,6 +102,31 @@ func (p *Program) decode() {
 		p.decoded[i] = inst
 		p.meta[i] = isa.MetaOf(inst)
 	}
+}
+
+// Digest returns the content digest of the image: the hex SHA-256 of
+// the text base, data base and entry point (8-byte little-endian
+// each), the text words (4-byte little-endian each) and the data
+// bytes. Two programs with equal digests are indistinguishable to the
+// simulator, so the digest is the program-identity part of result-cache
+// keys (internal/simcache) and of checkpoint validation (internal/emu).
+// Like Predecode, it is computed on first use and shared.
+func (p *Program) Digest() string {
+	p.digestOnce.Do(func() {
+		h := sha256.New()
+		var buf [8]byte
+		for _, v := range [...]uint64{p.TextBase, p.DataBase, p.Entry} {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
+		}
+		for _, w := range p.Text {
+			binary.LittleEndian.PutUint32(buf[:4], uint32(w))
+			h.Write(buf[:4])
+		}
+		h.Write(p.Data)
+		p.digest = hex.EncodeToString(h.Sum(nil))
+	})
+	return p.digest
 }
 
 // Symbol returns the address of a label defined by the source.

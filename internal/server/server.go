@@ -55,8 +55,8 @@ type Options struct {
 	// QueueLimit bounds the number of queued cells across all tenants
 	// (0 = 4096). Submissions that would exceed it get 429.
 	QueueLimit int
-	// MaxCellsPerSweep bounds a single sweep's expansion (0 = 1024).
-	// Larger submissions get 400.
+	// MaxCellsPerSweep bounds a single sweep's expansion
+	// (0 = DefaultMaxCellsPerSweep). Larger submissions get 400.
 	MaxCellsPerSweep int
 	// JobTimeout is the default per-job wall-time budget, overridable
 	// per request via timeout_sec (0 = 10m).
@@ -70,6 +70,10 @@ type Options struct {
 	EnablePprof bool
 }
 
+// DefaultMaxCellsPerSweep is the per-sweep expansion limit a zero
+// MaxCellsPerSweep takes, on a worker and on the shard router alike.
+const DefaultMaxCellsPerSweep = 1024
+
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Workers <= 0 {
@@ -79,7 +83,7 @@ func (o *Options) withDefaults() Options {
 		out.QueueLimit = 4096
 	}
 	if out.MaxCellsPerSweep <= 0 {
-		out.MaxCellsPerSweep = 1024
+		out.MaxCellsPerSweep = DefaultMaxCellsPerSweep
 	}
 	if out.JobTimeout <= 0 {
 		out.JobTimeout = 10 * time.Minute

@@ -26,9 +26,9 @@ type Options struct {
 	// VNodes is the virtual-node count per worker on the hash ring
 	// (0 = 128). More vnodes = better balance, larger ring.
 	VNodes int
-	// MaxCellsPerSweep bounds a single sweep's expansion (0 = 1024),
-	// mirroring the worker-side limit so the router rejects what a
-	// worker would have rejected.
+	// MaxCellsPerSweep bounds a single sweep's expansion
+	// (0 = server.DefaultMaxCellsPerSweep), mirroring the worker-side
+	// limit so the router rejects what a worker would have rejected.
 	MaxCellsPerSweep int
 	// JobTimeout is the default per-job wall-time budget, overridable
 	// per request via timeout_sec (0 = 10m). Dispatched cells carry the
@@ -67,7 +67,7 @@ func (o *Options) withDefaults() Options {
 		out.VNodes = 128
 	}
 	if out.MaxCellsPerSweep <= 0 {
-		out.MaxCellsPerSweep = 1024
+		out.MaxCellsPerSweep = server.DefaultMaxCellsPerSweep
 	}
 	if out.JobTimeout <= 0 {
 		out.JobTimeout = 10 * time.Minute

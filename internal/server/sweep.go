@@ -206,12 +206,12 @@ func buildCell(c Cell) (cfg core.Config, progs []*program.Program, windowed bool
 }
 
 // CellKey returns the simcache content address the cell's simulation
-// will be stored under — the key RunCell's RunMachineShared derives on
-// the worker. The shard router computes it before admission and feeds
-// it to the consistent-hash ring, so identical cells from any tenant
-// land on the worker whose cache (and in-flight singleflight table)
-// already covers them. ok=false is the "No Baseline" region: the cell
-// never simulates, so it has no content address and needs no worker.
+// will be stored under — the key RunCell derives on the worker. The
+// shard router computes it before admission and feeds it to the
+// consistent-hash ring, so identical cells from any tenant land on the
+// worker whose cache (and in-flight singleflight table) already covers
+// them. ok=false is the "No Baseline" region: the cell never simulates,
+// so it has no content address and needs no worker.
 func CellKey(c Cell) (key string, ok bool, err error) {
 	cfg, progs, windowed, ok, err := buildCell(c)
 	if err != nil || !ok {
@@ -234,7 +234,8 @@ func RunCell(cache *simcache.Cache, c Cell) CellResult {
 	if !ok {
 		return out // Valid stays false: a "No Baseline" region
 	}
-	res, counters, _, err := cache.RunMachineShared(cfg, progs, windowed)
+	key := simcache.Key(cfg, progs, windowed)
+	res, counters, _, err := cache.RunMachineShared(key, cfg, progs, windowed)
 	if err != nil {
 		out.Error = err.Error()
 		return out
@@ -242,7 +243,7 @@ func RunCell(cache *simcache.Cache, c Cell) CellResult {
 	out.Valid = true
 	out.Cycles = res.Cycles
 	out.IPC = res.IPC()
-	out.CacheKey = simcache.Key(cfg, progs, windowed)
+	out.CacheKey = key
 	out.Counters = counters
 	for _, t := range res.Threads {
 		out.Committed += t.Committed

@@ -19,7 +19,8 @@
 // index.json sidecar recording provenance (schema, config fingerprint,
 // programs, creation time) for every stored key. Interrupted sweeps
 // resume for free: completed cells are already on disk, so a re-run
-// only simulates what is missing.
+// only simulates what is missing. Within one process, an entry is read
+// and verified once; repeat lookups are answered from memory (Get).
 //
 // A Cache is safe for concurrent use and doubles as the shared store
 // of the sweep service (internal/server, cmd/vcaserved): batch callers
@@ -37,7 +38,6 @@ package simcache
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -56,48 +56,22 @@ import (
 // keys guarantee bit-identical simulation results under the current
 // core.SchemaVersion.
 //
-// The derivation is split into exported parts — ProgramDigest per
-// program image, then KeyFromParts over the config fingerprint and the
-// digests — so callers that route on the content address before
-// admitting work (the shard router, internal/server/shard) can memoize
-// the expensive half (program digests) and derive per-cell keys without
-// re-hashing unchanged program images.
+// The program half of the derivation is each image's memoized
+// program.Program.Digest, so repeat keys over the same images hash only
+// the config fingerprint; KeyFromParts combines the parts.
 func Key(cfg core.Config, progs []*program.Program, windowed bool) string {
 	digests := make([]string, len(progs))
 	for i, p := range progs {
-		digests[i] = ProgramDigest(p)
+		digests[i] = p.Digest()
 	}
 	return KeyFromParts(cfg.Fingerprint(), windowed, digests)
 }
 
-// ProgramDigest returns the content digest of one program image: load
-// bases, entry point, text words, and data bytes. Two programs with
-// equal digests are indistinguishable to the simulator.
-func ProgramDigest(p *program.Program) string {
-	h := sha256.New()
-	var word [4]byte
-	var addr [8]byte
-	binary.LittleEndian.PutUint64(addr[:], p.TextBase)
-	h.Write(addr[:])
-	binary.LittleEndian.PutUint64(addr[:], p.DataBase)
-	h.Write(addr[:])
-	binary.LittleEndian.PutUint64(addr[:], p.Entry)
-	h.Write(addr[:])
-	for _, w := range p.Text {
-		binary.LittleEndian.PutUint32(word[:], uint32(w))
-		h.Write(word[:])
-	}
-	h.Write(p.Data)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // KeyFromParts derives a job's content address from its already-derived
 // parts: the config fingerprint (core.Config.Fingerprint), the windowed
-// flag, and one ProgramDigest per thread in thread order. It is the
-// pre-admission routing form of Key: the shard router derives every
-// cell's address this way to pick the cache-affine worker before any
-// work is queued, and the equality Key == KeyFromParts(Fingerprint,
-// windowed, digests) is pinned by TestKeyFromPartsMatchesKey.
+// flag, and one program.Program.Digest per thread in thread order. Key
+// is KeyFromParts over those parts; the equality is pinned by
+// TestKeyFromPartsMatchesKey.
 func KeyFromParts(cfgFingerprint string, windowed bool, progDigests []string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "schema=%d\n", core.SchemaVersion)
@@ -203,6 +177,18 @@ type Cache struct {
 
 	mu    sync.Mutex // guards index mutation + index.json rewrite
 	index map[string]IndexEntry
+
+	// view answers repeat lookups from memory. It holds, per key, the
+	// entry a disk read in this process verified (checksum, key and
+	// schema), trimmed to Schema, Key, Result and Counters. Only Get
+	// fills it — never Put, whose simulated Result still carries a live
+	// registry that pins its whole machine — and Clear and
+	// discardCorrupt empty it. Its size is bounded by the distinct cells
+	// this process has answered from disk. viewGen counts removals, so a
+	// disk read that raced one does not put its entry back.
+	viewMu  sync.Mutex
+	view    map[string]*Entry
+	viewGen uint64
 }
 
 const indexFile = "index.json"
@@ -215,7 +201,7 @@ func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("simcache: %w", err)
 	}
-	c := &Cache{dir: dir, index: map[string]IndexEntry{}}
+	c := &Cache{dir: dir, index: map[string]IndexEntry{}, view: map[string]*Entry{}}
 	if b, err := os.ReadFile(filepath.Join(dir, indexFile)); err == nil {
 		if err := json.Unmarshal(b, &c.index); err != nil {
 			c.index = map[string]IndexEntry{}
@@ -239,6 +225,10 @@ func (c *Cache) Clear() error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.viewMu.Lock()
+	c.view = map[string]*Entry{}
+	c.viewGen++
+	c.viewMu.Unlock()
 	names, err := os.ReadDir(c.dir)
 	if err != nil {
 		return fmt.Errorf("simcache: %w", err)
@@ -272,10 +262,41 @@ func (c *Cache) entryPath(key string) string {
 // Get loads the entry for key. ok=false on miss; a corrupted or
 // schema-stale entry is removed and reported as a miss. Get does not
 // touch the hit/miss statistics — RunMachine owns those.
+//
+// The first Get of a key in this process reads and verifies its file;
+// later ones return the same entry from memory. The returned entry
+// carries Schema, Key, Result (with a nil Metrics registry) and
+// Counters, and is shared by every caller: treat it, its Result and
+// its Counters as read-only.
 func (c *Cache) Get(key string) (*Entry, bool) {
 	if c == nil {
 		return nil, false
 	}
+	c.viewMu.Lock()
+	e, ok := c.view[key]
+	gen := c.viewGen
+	c.viewMu.Unlock()
+	if ok {
+		return e, true
+	}
+	if e, ok = c.read(key); !ok {
+		return nil, false
+	}
+	e = &Entry{Schema: e.Schema, Key: e.Key, Result: e.Result, Counters: e.Counters}
+	c.viewMu.Lock()
+	defer c.viewMu.Unlock()
+	if prev, ok := c.view[key]; ok {
+		return prev, true // a concurrent Get got here first: share its entry
+	}
+	if c.viewGen == gen {
+		c.view[key] = e
+	}
+	return e, true
+}
+
+// read loads and verifies key's entry file, discarding it when it fails
+// any check.
+func (c *Cache) read(key string) (*Entry, bool) {
 	b, err := os.ReadFile(c.entryPath(key))
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -298,6 +319,10 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 
 func (c *Cache) discardCorrupt(key string) {
 	c.corrupt.Add(1)
+	c.viewMu.Lock()
+	delete(c.view, key)
+	c.viewGen++
+	c.viewMu.Unlock()
 	os.Remove(c.entryPath(key))
 	c.mu.Lock()
 	delete(c.index, key)
@@ -400,7 +425,9 @@ func (c *Cache) writeIndexLocked() {
 // returns it. The returned hit flag reports which path was taken.
 //
 // A hit's Result has a nil Metrics registry — callers needing live
-// registry access (histograms, stats dumps) must bypass the cache.
+// registry access (histograms, stats dumps) must bypass the cache. A
+// hit's Result and counter map are shared with every other hit on the
+// key (see Get): treat them as read-only.
 func (c *Cache) RunMachine(cfg core.Config, progs []*program.Program, windowed bool) (res *core.Result, counters map[string]uint64, hit bool, err error) {
 	if c == nil {
 		res, err := simulate(cfg, progs, windowed)

@@ -441,7 +441,7 @@ func TestSimulationsMatchMisses(t *testing.T) {
 	cfg2 := cfg
 	cfg2.StopAfter = cfg.StopAfter + 1000
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := cache.RunMachineShared(cfg2, progs, windowed); err != nil {
+		if _, _, _, err := cache.RunMachineShared(Key(cfg2, progs, windowed), cfg2, progs, windowed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -485,7 +485,7 @@ func TestKeyFromPartsMatchesKey(t *testing.T) {
 	cfg2.MaxCycles = 1 << 34
 	cfg = cfg2
 
-	digests := []string{ProgramDigest(progs[0]), ProgramDigest(progs[1])}
+	digests := []string{progs[0].Digest(), progs[1].Digest()}
 	want := Key(cfg, progs, windowed)
 	if got := KeyFromParts(cfg.Fingerprint(), windowed, digests); got != want {
 		t.Fatalf("KeyFromParts = %s, Key = %s", got, want)
@@ -507,13 +507,13 @@ func TestKeyFromPartsMatchesKey(t *testing.T) {
 		t.Error("program count did not change the key")
 	}
 
-	// ProgramDigest is a pure function of the image: rebuilding the same
+	// Digest is a pure function of the image: rebuilding the same
 	// workload yields the same digest, a different workload a new one.
 	p1b, err := crafty.Build(testModels[2].abi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ProgramDigest(p1b) != digests[0] {
+	if p1b.Digest() != digests[0] {
 		t.Error("rebuilding the same workload changed its digest")
 	}
 	if digests[0] == digests[1] {

@@ -62,17 +62,18 @@ func (g *flightGroup) do(key string, fn func() (*core.Result, map[string]uint64,
 // as usual); followers block and share the leader's result, counted as
 // SFHits rather than cache hits.
 //
-// The dedup key is the same content address RunMachine uses, so a
-// follower can only ever observe a result the current simulator would
-// reproduce bit for bit. With a nil cache there is no shared store to
-// coalesce on and RunMachineShared degrades to a direct simulation per
-// caller, exactly like RunMachine.
-func (c *Cache) RunMachineShared(cfg core.Config, progs []*program.Program, windowed bool) (res *core.Result, counters map[string]uint64, hit bool, err error) {
+// key must be Key(cfg, progs, windowed): callers that also report the
+// content address (server.RunCell) derive it once and pass it in. It is
+// both the store address and the dedup key, so a follower can only ever
+// observe a result the current simulator would reproduce bit for bit.
+// With a nil cache there is no shared store to coalesce on and
+// RunMachineShared degrades to a direct simulation per caller, exactly
+// like RunMachine.
+func (c *Cache) RunMachineShared(key string, cfg core.Config, progs []*program.Program, windowed bool) (res *core.Result, counters map[string]uint64, hit bool, err error) {
 	if c == nil {
 		return c.RunMachine(cfg, progs, windowed)
 	}
-	key := Key(cfg, progs, windowed)
-	// Fast path: already on disk. Counted as an ordinary cache hit.
+	// Fast path: already stored. Counted as an ordinary cache hit.
 	if e, ok := c.Get(key); ok {
 		c.hits.Add(1)
 		return e.Result, e.Counters, true, nil

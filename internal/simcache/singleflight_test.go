@@ -64,7 +64,7 @@ func TestSingleflightFollowerSharesLeader(t *testing.T) {
 	}
 	got := make(chan out, 1)
 	go func() {
-		r, cm, hit, err := c.RunMachineShared(cfg, progs, false)
+		r, cm, hit, err := c.RunMachineShared(key, cfg, progs, false)
 		got <- out{r, cm, hit, err}
 	}()
 
@@ -99,6 +99,7 @@ func TestSingleflightConcurrentIdenticalJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, progs := sharedTestJob(t)
+	key := Key(cfg, progs, false)
 
 	const K = 8
 	payloads := make([][]byte, K)
@@ -108,7 +109,7 @@ func TestSingleflightConcurrentIdenticalJobs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, counters, _, err := c.RunMachineShared(cfg, progs, false)
+			res, counters, _, err := c.RunMachineShared(key, cfg, progs, false)
 			if err != nil {
 				errs[i] = err
 				return

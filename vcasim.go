@@ -150,7 +150,9 @@ type MachineSpec struct {
 	// answered from disk without simulating. Ignored — the run always
 	// simulates — when Trace, ChromeTrace, or Check is set, because a
 	// replayed result has no live metrics registry or event stream
-	// (Result.Metrics is nil on a cache hit).
+	// (Result.Metrics is nil on a cache hit). A replayed result is
+	// shared with every other hit on the same run: treat it as
+	// read-only.
 	Cache *ResultCache
 	// FastForward skips the first N instructions of every thread at
 	// functional speed (tens of MIPS, emu.FastRun) and transplants the
