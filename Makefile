@@ -19,7 +19,7 @@ test-race:
 
 # Short-budget native fuzzing over the five fuzz targets (assembler,
 # mini-C compiler, whole-stack lockstep, checkpoint decoder, result-cache
-# entry and index decoding). Each target gets a small time budget on top
+# entry decoding beside a legacy index.json). Each target gets a small time budget on top
 # of replaying its committed corpus; failures minimize into testdata/fuzz/
 # automatically. Cache entries are kilobytes and every execution writes
 # two files, so minimizing each new interesting entry under the default
@@ -134,7 +134,7 @@ docs-check:
 # Simulator throughput microbenchmarks (ns/inst, simMIPS, allocs/inst)
 # and result-cache key and hit costs (ns/op, allocs/op).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkVCAEvictUnderPressure|BenchmarkCosimStep|BenchmarkSimcacheKey|BenchmarkSimcacheHit' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkVCAEvictUnderPressure|BenchmarkCosimStep|BenchmarkSimcacheKey|BenchmarkSimcacheHit|BenchmarkSimcachePut' -benchmem .
 
 # Throughput smoke gate (wired into `make ci`): BenchmarkSimThroughput at
 # a fixed -benchtime, best-of-3, compared against the committed baseline

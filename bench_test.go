@@ -9,6 +9,7 @@
 package vca
 
 import (
+	"strconv"
 	"testing"
 
 	"vca/internal/core"
@@ -555,4 +556,48 @@ func BenchmarkSimcacheHit(b *testing.B) {
 			simcacheBenchSink = e
 		}
 	})
+}
+
+// BenchmarkSimcachePut measures storing one cell, a copy of a stored
+// entry under a fresh key, into an empty store and into one already
+// holding 1,000 entries. A store's cost should not depend on how many
+// entries sit beside it. Each run's store also grows by b.N; a fixed
+// -benchtime such as 200x keeps the two sizes apart.
+func BenchmarkSimcachePut(b *testing.B) {
+	cfg, progs, windowed := simcacheBenchJob(b)
+	src, err := simcache.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, _, err := src.RunMachine(cfg, progs, windowed); err != nil {
+		b.Fatal(err)
+	}
+	e, ok := src.Get(simcache.Key(cfg, progs, windowed))
+	if !ok {
+		b.Fatal("stored cell missed")
+	}
+	for _, size := range []int{0, 1000} {
+		name := "empty"
+		if size > 0 {
+			name = strconv.Itoa(size)
+		}
+		b.Run(name, func(b *testing.B) {
+			cache, err := simcache.Open(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < size; i++ {
+				if err := cache.Put("fill-"+strconv.Itoa(i), cfg, progs, e.Result, e.Counters); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := cache.Put("put-"+strconv.Itoa(i), cfg, progs, e.Result, e.Counters); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

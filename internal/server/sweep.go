@@ -65,8 +65,8 @@ type Cell struct {
 // surface (PAPERS.md): exposing every counter through the job API lets
 // downstream validation evaluate counter-algebra predicates without
 // re-running anything. CacheKey is the job's content address in the
-// shared result store, usable for provenance auditing against the
-// store's index.json.
+// shared result store; the store's entry file <cache>/<CacheKey>.json
+// is its provenance record.
 type CellResult struct {
 	Cell
 	Valid     bool              `json:"valid"`

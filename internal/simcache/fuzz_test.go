@@ -2,6 +2,7 @@ package simcache
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,11 +14,12 @@ import (
 )
 
 // FuzzCacheEntry stores arbitrary bytes as one key's entry file and as
-// index.json, then opens the directory and looks the key up. Open and
-// Get must never panic; Get answers only bytes that decode to an entry
-// whose checksum, key, schema and result verify, and returns exactly
-// what they hold; any other file is removed, counted as corrupt, and
-// kept out of the verified view.
+// a legacy index.json, then opens the directory and looks the key up.
+// Open and Get must never panic, and Len counts the entry file but not
+// the index; Get answers only bytes that decode to an entry whose
+// checksum, key, schema and result verify, and returns exactly what
+// they hold; any other file is removed, counted as corrupt, and kept
+// out of the verified view.
 func FuzzCacheEntry(f *testing.F) {
 	seedDir := f.TempDir()
 	seed, err := Open(seedDir)
@@ -44,10 +46,16 @@ func FuzzCacheEntry(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	index, err := os.ReadFile(filepath.Join(seedDir, indexFile))
-	if err != nil {
-		f.Fatal(err)
-	}
+	// The index.json sidecar older stores kept beside their entries.
+	index := []byte(fmt.Sprintf(`{
+ "%s": {
+  "schema": %d,
+  "config": "%s",
+  "programs": "crafty",
+  "cycles": 1234,
+  "created": "2026-01-01T00:00:00Z"
+ }
+}`, key, core.SchemaVersion, cfg.Fingerprint()))
 	flipped := append([]byte{}, entry...)
 	for i := len(flipped) / 2; i < len(flipped); i++ {
 		if flipped[i] >= '1' && flipped[i] <= '8' {
@@ -65,12 +73,15 @@ func FuzzCacheEntry(f *testing.F) {
 		if err := os.WriteFile(path, entryBytes, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, indexFile), indexBytes, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "index.json"), indexBytes, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		c, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := c.Len(); n != 1 {
+			t.Fatalf("Len = %d with one entry file beside index.json, want 1", n)
 		}
 
 		var want Entry

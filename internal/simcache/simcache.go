@@ -14,13 +14,14 @@
 // re-simulates.
 //
 // Entries live under a cache directory (default .simcache/) as one
-// JSON file per key holding the full core.Result plus the flat event-
-// counter map, protected by an embedded payload checksum, with an
-// index.json sidecar recording provenance (schema, config fingerprint,
-// programs, creation time) for every stored key. Interrupted sweeps
-// resume for free: completed cells are already on disk, so a re-run
-// only simulates what is missing. Within one process, an entry is read
-// and verified once; repeat lookups are answered from memory (Get).
+// JSON file per key, <key>.json, holding the full core.Result plus the
+// flat event-counter map, protected by an embedded payload checksum.
+// The entry file is also the key's provenance record: its schema,
+// config fingerprint and program names sit beside the payload, and its
+// mtime is the store time. Interrupted sweeps resume for free:
+// completed cells are already on disk, so a re-run only simulates what
+// is missing. Within one process, an entry is read and verified once;
+// repeat lookups are answered from memory (Get).
 //
 // A Cache is safe for concurrent use and doubles as the shared store
 // of the sweep service (internal/server, cmd/vcaserved): batch callers
@@ -43,9 +44,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vca/internal/core"
 	"vca/internal/metrics"
@@ -89,7 +90,8 @@ func KeyFromParts(cfgFingerprint string, windowed bool, progDigests []string) st
 type Entry struct {
 	Schema   int               `json:"schema"`
 	Key      string            `json:"key"`
-	Config   string            `json:"config"` // Config.Fingerprint at store time
+	Config   string            `json:"config"`   // Config.Fingerprint at store time
+	Programs string            `json:"programs"` // comma-joined program names
 	Result   *core.Result      `json:"result"`
 	Counters map[string]uint64 `json:"counters,omitempty"`
 	Checksum string            `json:"checksum"` // SHA-256 of payloadBytes(Result, Counters)
@@ -112,17 +114,6 @@ func checksum(res *core.Result, counters map[string]uint64) (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// IndexEntry is the provenance row index.json keeps per stored key —
-// enough to audit exactly which simulator version and configuration
-// produced a cached cell without opening the entry itself.
-type IndexEntry struct {
-	Schema   int    `json:"schema"`
-	Config   string `json:"config"`
-	Programs string `json:"programs"` // comma-joined program names
-	Cycles   uint64 `json:"cycles"`
-	Created  string `json:"created"` // RFC 3339
 }
 
 // Stats counts cache traffic since Open. Bypassed counts jobs run with
@@ -175,8 +166,8 @@ type Cache struct {
 
 	sf flightGroup // in-flight dedup for RunMachineShared
 
-	mu    sync.Mutex // guards index mutation + index.json rewrite
-	index map[string]IndexEntry
+	mu   sync.Mutex // guards keys
+	keys map[string]struct{}
 
 	// view answers repeat lookups from memory. It holds, per key, the
 	// entry a disk read in this process verified (checksum, key and
@@ -191,20 +182,22 @@ type Cache struct {
 	viewGen uint64
 }
 
-const indexFile = "index.json"
-
-// Open creates (if needed) and opens a cache directory, loading the
-// provenance index. An unreadable index is rebuilt empty rather than
-// trusted: entry files carry their own checksums, so the index is
-// advisory.
+// Open creates (if needed) and opens a cache directory, listing it once
+// to learn the stored keys Len counts. Checkpoints (ck-*.json), temp
+// files and a legacy index.json are not entries.
 func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("simcache: %w", err)
 	}
-	c := &Cache{dir: dir, index: map[string]IndexEntry{}, view: map[string]*Entry{}}
-	if b, err := os.ReadFile(filepath.Join(dir, indexFile)); err == nil {
-		if err := json.Unmarshal(b, &c.index); err != nil {
-			c.index = map[string]IndexEntry{}
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("simcache: %w", err)
+	}
+	c := &Cache{dir: dir, keys: map[string]struct{}{}, view: map[string]*Entry{}}
+	for _, e := range names {
+		key, ok := strings.CutSuffix(e.Name(), ".json")
+		if ok && !e.IsDir() && !strings.HasPrefix(key, "ck-") && key != "index" {
+			c.keys[key] = struct{}{}
 		}
 	}
 	return c, nil
@@ -218,7 +211,8 @@ func (c *Cache) Dir() string {
 	return c.dir
 }
 
-// Clear removes every entry and the index.
+// Clear removes every *.json file: entries, checkpoints and a legacy
+// index.json.
 func (c *Cache) Clear() error {
 	if c == nil {
 		return nil
@@ -241,18 +235,19 @@ func (c *Cache) Clear() error {
 			return fmt.Errorf("simcache: %w", err)
 		}
 	}
-	c.index = map[string]IndexEntry{}
+	c.keys = map[string]struct{}{}
 	return nil
 }
 
-// Len returns the number of indexed entries.
+// Len returns the number of entries: those on disk at Open, plus this
+// handle's stores, minus its discards.
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.index)
+	return len(c.keys)
 }
 
 func (c *Cache) entryPath(key string) string {
@@ -325,13 +320,12 @@ func (c *Cache) discardCorrupt(key string) {
 	c.viewMu.Unlock()
 	os.Remove(c.entryPath(key))
 	c.mu.Lock()
-	delete(c.index, key)
-	c.writeIndexLocked()
+	delete(c.keys, key)
 	c.mu.Unlock()
 }
 
-// Put stores a result under key (atomic write: temp file + rename) and
-// records its provenance in the index.
+// Put stores a result and its provenance under key (atomic write: temp
+// file + rename).
 func (c *Cache) Put(key string, cfg core.Config, progs []*program.Program, res *core.Result, counters map[string]uint64) error {
 	if c == nil {
 		return nil
@@ -340,10 +334,15 @@ func (c *Cache) Put(key string, cfg core.Config, progs []*program.Program, res *
 	if err != nil {
 		return fmt.Errorf("simcache: %w", err)
 	}
+	names := make([]string, len(progs))
+	for i, p := range progs {
+		names[i] = p.Name
+	}
 	e := Entry{
 		Schema:   core.SchemaVersion,
 		Key:      key,
 		Config:   cfg.Fingerprint(),
+		Programs: strings.Join(names, ","),
 		Result:   res,
 		Counters: counters,
 		Checksum: sum,
@@ -370,53 +369,10 @@ func (c *Cache) Put(key string, cfg core.Config, progs []*program.Program, res *
 		return fmt.Errorf("simcache: %w", err)
 	}
 	c.stores.Add(1)
-
-	names := ""
-	for i, p := range progs {
-		if i > 0 {
-			names += ","
-		}
-		names += p.Name
-	}
 	c.mu.Lock()
-	c.index[key] = IndexEntry{
-		Schema:   core.SchemaVersion,
-		Config:   e.Config,
-		Programs: names,
-		Cycles:   res.Cycles,
-		Created:  time.Now().UTC().Format(time.RFC3339),
-	}
-	c.writeIndexLocked()
+	c.keys[key] = struct{}{}
 	c.mu.Unlock()
 	return nil
-}
-
-// writeIndexLocked rewrites index.json atomically; c.mu must be held.
-// Index write failures are tolerated (the index is provenance, not
-// truth) but counted.
-func (c *Cache) writeIndexLocked() {
-	b, err := json.MarshalIndent(c.index, "", " ")
-	if err != nil {
-		c.errs.Add(1)
-		return
-	}
-	tmp, err := os.CreateTemp(c.dir, "index-*")
-	if err != nil {
-		c.errs.Add(1)
-		return
-	}
-	if _, err := tmp.Write(b); err == nil {
-		err = tmp.Close()
-		if err == nil {
-			err = os.Rename(tmp.Name(), filepath.Join(c.dir, indexFile))
-		}
-	} else {
-		tmp.Close()
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		c.errs.Add(1)
-	}
 }
 
 // RunMachine is the memoized simulation entry point: on a hit it

@@ -3,10 +3,12 @@ package simcache
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"vca/internal/core"
@@ -343,9 +345,11 @@ func TestNilCacheBypasses(t *testing.T) {
 	}
 }
 
-// TestIndexProvenance: every stored key carries a provenance row with
-// the schema and config fingerprint that produced it.
-func TestIndexProvenance(t *testing.T) {
+// TestEntryProvenance: every stored key's entry file is its provenance
+// record, carrying the schema and config fingerprint that produced it.
+// Len counts entry files only: not checkpoints, temp files left by a
+// crash, or a legacy index.json.
+func TestEntryProvenance(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := Open(dir)
 	if err != nil {
@@ -356,40 +360,124 @@ func TestIndexProvenance(t *testing.T) {
 	if _, _, _, err := cache.RunMachine(cfg, progs, windowed); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, indexFile))
+	key := Key(cfg, progs, windowed)
+	raw, err := os.ReadFile(cache.entryPath(key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var idx map[string]IndexEntry
-	if err := json.Unmarshal(raw, &idx); err != nil {
+	var e Entry
+	if err := json.Unmarshal(raw, &e); err != nil {
 		t.Fatal(err)
 	}
-	e, ok := idx[Key(cfg, progs, windowed)]
-	if !ok {
-		t.Fatal("stored key missing from index")
-	}
 	if e.Schema != core.SchemaVersion || e.Config != cfg.Fingerprint() ||
-		!strings.HasPrefix(e.Programs, "gap") || e.Cycles == 0 {
-		t.Errorf("bad provenance row: %+v", e)
+		!strings.HasPrefix(e.Programs, "gap") || e.Result == nil || e.Result.Cycles == 0 {
+		t.Errorf("bad provenance: schema=%d config=%.16s… programs=%q", e.Schema, e.Config, e.Programs)
 	}
 
-	// Reopening the directory loads the index back.
+	// Files beside the entry that are not entries: a legacy index, a
+	// checkpoint, and temp files of an interrupted store holding a
+	// complete entry.
+	others := map[string][]byte{
+		"index.json":          []byte(`{"` + key + `":{"schema":1}}`),
+		"ck-" + key + ".json": []byte("{}"),
+		"put-123456":          raw,
+		"index-123456":        raw,
+	}
+	for name, b := range others {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if re.Len() != 1 {
-		t.Errorf("reopened index has %d entries, want 1", re.Len())
+		t.Errorf("reopened store has %d entries, want 1", re.Len())
+	}
+	for _, tmp := range []string{"put-123456", "index-123456"} {
+		if _, ok := re.Get(tmp); ok {
+			t.Errorf("temp file %s served as an entry", tmp)
+		}
 	}
 
 	if err := re.Clear(); err != nil {
 		t.Fatal(err)
 	}
 	if re.Len() != 0 {
-		t.Error("Clear left index entries")
+		t.Error("Clear left entries")
 	}
-	if _, ok := re.Get(Key(cfg, progs, windowed)); ok {
+	if _, ok := re.Get(key); ok {
 		t.Error("Clear left a readable entry")
+	}
+	for _, name := range []string{"index.json", "ck-" + key + ".json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("Clear left %s: %v", name, err)
+		}
+	}
+}
+
+// TestSharedDirectoryConsistent: two handles on one directory storing
+// disjoint keys concurrently lose nothing — a later Open counts every
+// entry, and every one verifies.
+func TestSharedDirectoryConsistent(t *testing.T) {
+	dir := t.TempDir()
+	seed, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := workload.ByName("mesa")
+	cfg, progs, windowed := jobFor(t, b, testModels[0])
+	if _, _, _, err := seed.RunMachine(cfg, progs, windowed); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := seed.Get(Key(cfg, progs, windowed))
+	if !ok {
+		t.Fatal("seed entry missed")
+	}
+
+	const handles, perHandle = 2, 25
+	var wg sync.WaitGroup
+	errs := make(chan error, handles)
+	for h := 0; h < handles; h++ {
+		c, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perHandle; i++ {
+				if err := c.Put(fmt.Sprintf("h%d-%d", h, i), cfg, progs, e.Result, e.Counters); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	all, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := all.Len(), handles*perHandle; got != want {
+		t.Errorf("reopened shared store has %d entries, want %d", got, want)
+	}
+	for h := 0; h < handles; h++ {
+		for i := 0; i < perHandle; i++ {
+			if _, ok := all.Get(fmt.Sprintf("h%d-%d", h, i)); !ok {
+				t.Errorf("entry h%d-%d does not verify", h, i)
+			}
+		}
+	}
+	if s := all.Stats(); s.Corrupt != 0 {
+		t.Errorf("%d entries failed verification", s.Corrupt)
 	}
 }
 
