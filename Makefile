@@ -131,10 +131,11 @@ docs-check:
 	$(GO) vet ./...
 	$(GO) run ./internal/tools/linkcheck
 
-# Simulator throughput microbenchmarks (ns/inst, simMIPS, allocs/inst)
-# and result-cache key and hit costs (ns/op, allocs/op).
+# Simulator throughput microbenchmarks (ns/inst, simMIPS, allocs/inst),
+# machine construction (B/op per core.New) and result-cache key and hit
+# costs (ns/op, allocs/op).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkVCAEvictUnderPressure|BenchmarkCosimStep|BenchmarkSimcacheKey|BenchmarkSimcacheHit|BenchmarkSimcachePut' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkCoreNew|BenchmarkVCAEvictUnderPressure|BenchmarkCosimStep|BenchmarkSimcacheKey|BenchmarkSimcacheHit|BenchmarkSimcachePut' -benchmem .
 
 # Throughput smoke gate (wired into `make ci`): BenchmarkSimThroughput at
 # a fixed -benchtime, best-of-3, compared against the committed baseline

@@ -410,6 +410,52 @@ func BenchmarkCorePipeline(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
 }
 
+// BenchmarkCoreNew measures machine construction alone: one core.New
+// per op, cycling through the Figure 4 sweep's cell shapes (every
+// operable RegWindowArchs × RegWindowSizes point on each call-frequent
+// benchmark, 1 thread, 2 DL1 ports, co-simulation on as configured).
+// With -benchmem, B/op is the bytes one machine costs before it runs.
+func BenchmarkCoreNew(b *testing.B) {
+	type shape struct {
+		cfg      core.Config
+		prog     *program.Program
+		windowed bool
+	}
+	var shapes []shape
+	for _, a := range experiments.RegWindowArchs {
+		for _, r := range experiments.RegWindowSizes {
+			cfg, ok := a.Config(1, r, 2)
+			if !ok {
+				continue
+			}
+			for _, bm := range workload.CallFrequent() {
+				prog, err := bm.Build(a.ABI())
+				if err != nil {
+					b.Fatal(err)
+				}
+				shapes = append(shapes, shape{cfg, prog, a.ABI() == minic.ABIWindowed})
+			}
+		}
+	}
+	for _, s := range shapes { // shared per-program predecode and encoding
+		if _, err := core.New(s.cfg, []*program.Program{s.prog}, s.windowed); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := shapes[i%len(shapes)]
+		m, err := core.New(s.cfg, []*program.Program{s.prog}, s.windowed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		coreNewSink = m
+	}
+}
+
+var coreNewSink *core.Machine
+
 // BenchmarkVCARenameOps measures raw renamer throughput.
 func BenchmarkVCARenameOps(b *testing.B) {
 	v := rename.NewVCA(rename.DefaultVCAConfig(1, 128))

@@ -172,10 +172,11 @@ func DefaultConfig(rm RenameModel, wm WindowModel, threads, physRegs int) Config
 		// recovery discipline — is unchanged. A conflict-free table makes
 		// the free fills unnecessary in the first place.
 		//
-		// The table then has 131,072 entries (512 KB), so no per-rename
-		// path may walk it: victim selection scans physical registers
-		// instead. The remaining whole-table walks are the RSID-reuse
-		// flush (rare) and CheckInvariants (checker only).
+		// The table then has 131,072 ways, so no per-rename path may
+		// walk it: victim selection scans physical registers instead.
+		// Only the sets a run touches get storage (rename.VCA), and the
+		// remaining whole-table walks (the RSID-reuse flush, rare;
+		// CheckInvariants, checker only) read only those sets' ways.
 		cfg.VCA.Sets = 1 << 14
 		cfg.VCA.Ways = 8
 		cfg.VCA.Ports = 1 << 20

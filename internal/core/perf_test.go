@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"vca/internal/minic"
@@ -64,9 +65,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 	cfg.CoSim = false
 	cfg.StopAfter = 40_000
 
-	// Machine construction allocates (register file, rename table, cache
-	// arrays); measure it separately so the bound tracks only the cycle
-	// loop itself.
+	// Machine construction allocates (register file, predictor tables,
+	// program pages, metric registry); measure it separately so the
+	// bound tracks only the cycle loop itself.
 	construction := testing.AllocsPerRun(3, func() {
 		if _, err := New(cfg, []*program.Program{p}, false); err != nil {
 			t.Fatal(err)
@@ -94,5 +95,47 @@ func TestSteadyStateAllocs(t *testing.T) {
 		perRun, construction, committed, perInst)
 	if perInst > 0.05 {
 		t.Errorf("steady-state allocation regression: %.4f allocs per committed instruction (want <= 0.05)", perInst)
+	}
+}
+
+// TestConstructionBytes bounds the bytes New allocates per machine.
+// Cache sets, wheel buckets and rename-table sets get storage on first
+// use, so building a machine must not cost its Table 1 geometry up front
+// (a 1 MB L2 directory, a 512-bucket ASTQ wheel, the ideal-window
+// machine's 131,072-way rename table): allocated eagerly, these two
+// machines cost about 1.0 and 1.5 MB. The bound is on bytes, not time,
+// so it holds on any host.
+func TestConstructionBytes(t *testing.T) {
+	const machines = 10
+	const bound = 400 << 10
+	p := buildProg(t, "fib", srcFib, minic.ABIWindowed)
+	for _, w := range []struct {
+		name   string
+		window WindowModel
+	}{
+		{"vca-windowed/64", WindowVCA},
+		{"ideal-windowed/64", WindowIdeal},
+	} {
+		cfg := DefaultConfig(RenameVCA, w.window, 1, 64)
+		if !cfg.CoSim {
+			t.Fatal("DefaultConfig no longer co-simulates; this bound assumes it does")
+		}
+		build := func() {
+			if _, err := New(cfg, []*program.Program{p}, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		build() // the program's shared predecode and text encoding
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < machines; i++ {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		perMachine := (after.TotalAlloc - before.TotalAlloc) / machines
+		t.Logf("%s: %d bytes per machine", w.name, perMachine)
+		if perMachine > bound {
+			t.Errorf("%s: New allocates %d bytes per machine, want <= %d", w.name, perMachine, bound)
+		}
 	}
 }

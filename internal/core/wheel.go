@@ -10,14 +10,18 @@ package core
 // size, and no in-flight latency is that long. Should a configuration
 // exceed the initial sizing, the ring doubles and rehashes in place.
 //
-// Bucket slices are retained and reused ([:0] on drain), so the wheel
-// allocates nothing in steady state. Within a bucket, entries stay in
-// insertion (= issue) order — the writeback stage's processing order is
-// part of the machine's deterministic, bit-reproducible behavior.
+// Construction allocates only the bucket headers. A bucket gets its
+// storage on its first insert, carved from a chunked spare arena, so a
+// short run pays only for the buckets it lands on. Bucket slices are
+// retained and reused ([:0] on drain), so the wheel allocates nothing
+// in steady state. Within a bucket, entries stay in insertion (= issue)
+// order — the writeback stage's processing order is part of the
+// machine's deterministic, bit-reproducible behavior.
 
 // execWheel holds issued uops awaiting completion.
 type execWheel struct {
 	buckets [][]*uop
+	spare   []*uop // uncarved bucket storage
 	mask    uint64
 	count   int
 }
@@ -33,21 +37,32 @@ func wheelSize(span int) int {
 	return n
 }
 
-// wheelBucketCap is each bucket's construction-time capacity, carved
-// from one backing array so a fresh machine reaches allocation-free
-// steady state without warming hundreds of buckets through append
-// growth. A machine-width issue burst fits; rare hot spots (many
-// completions landing on one cycle) grow that bucket normally.
+// wheelBucketCap is the capacity a bucket is carved with on its first
+// insert, so a machine reaches allocation-free steady state without
+// warming each bucket through append growth. A machine-width issue burst
+// fits; rare hot spots (many completions landing on one cycle) grow that
+// bucket normally.
 const wheelBucketCap = 8
+
+// wheelChunkBuckets is how many buckets' storage the spare arena
+// allocates at a time.
+const wheelChunkBuckets = 16
+
+// carve returns wheelBucketCap empty slots for a never-used bucket,
+// refilling the spare arena a chunk at a time.
+func carve[T any](spare *[]T) []T {
+	if len(*spare) == 0 {
+		*spare = make([]T, wheelChunkBuckets*wheelBucketCap)
+	}
+	b := (*spare)[:0:wheelBucketCap]
+	*spare = (*spare)[wheelBucketCap:]
+	return b
+}
 
 func (w *execWheel) init(span int) {
 	n := wheelSize(span)
 	w.buckets = make([][]*uop, n)
 	w.mask = uint64(n - 1)
-	backing := make([]*uop, n*wheelBucketCap)
-	for i := range w.buckets {
-		w.buckets[i] = backing[i*wheelBucketCap : i*wheelBucketCap : (i+1)*wheelBucketCap]
-	}
 }
 
 // insert schedules u for completion at u.doneAt (> now).
@@ -56,6 +71,9 @@ func (w *execWheel) insert(u *uop, now uint64) {
 		w.grow()
 	}
 	b := u.doneAt & w.mask
+	if cap(w.buckets[b]) == 0 {
+		w.buckets[b] = carve(&w.spare)
+	}
 	w.buckets[b] = append(w.buckets[b], u)
 	u.inWheel = true
 	w.count++
@@ -123,6 +141,7 @@ func (w *execWheel) nextEvent(from, bound uint64) (uint64, bool) {
 // register only if the mapping is still live (rename.VCA.FillLive).
 type astqWheel struct {
 	buckets [][]astqEntry
+	spare   []astqEntry
 	mask    uint64
 	count   int
 }
@@ -131,10 +150,6 @@ func (w *astqWheel) init(span int) {
 	n := wheelSize(span)
 	w.buckets = make([][]astqEntry, n)
 	w.mask = uint64(n - 1)
-	backing := make([]astqEntry, n*wheelBucketCap)
-	for i := range w.buckets {
-		w.buckets[i] = backing[i*wheelBucketCap : i*wheelBucketCap : (i+1)*wheelBucketCap]
-	}
 }
 
 func (w *astqWheel) insert(e astqEntry, now uint64) {
@@ -142,6 +157,9 @@ func (w *astqWheel) insert(e astqEntry, now uint64) {
 		w.grow()
 	}
 	b := e.doneAt & w.mask
+	if cap(w.buckets[b]) == 0 {
+		w.buckets[b] = carve(&w.spare)
+	}
 	w.buckets[b] = append(w.buckets[b], e)
 	w.count++
 }

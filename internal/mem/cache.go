@@ -79,10 +79,16 @@ type cacheLine struct {
 
 // Cache is one timing-only set-associative write-back, write-allocate
 // cache level with true-LRU replacement.
+//
+// The directory holds storage only for the sets a run touches: slot maps
+// each set to its ways in the arena (1 + the set's index there; 0 = never
+// touched, which reads as all ways invalid). A short run on a 1 MB L2
+// thus allocates a few kilobytes instead of the whole directory.
 type Cache struct {
 	cfg    CacheConfig
 	sets   int
-	lines  [][]cacheLine // [set][way]
+	slot   []int32     // per set: 1 + materialised-set index, 0 = untouched
+	arena  []cacheLine // materialised sets, Ways lines each, in first-touch order
 	tick   uint64
 	next   *Cache // nil = backed by main memory
 	memLat int
@@ -106,13 +112,8 @@ func NewCache(cfg CacheConfig, next *Cache, memLat int) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("mem: cache %s: set count %d not a power of two", cfg.Name, sets))
 	}
-	lines := make([][]cacheLine, sets)
-	backing := make([]cacheLine, sets*cfg.Ways)
-	for i := range lines {
-		lines[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
 	return &Cache{
-		cfg: cfg, sets: sets, lines: lines, next: next, memLat: memLat,
+		cfg: cfg, sets: sets, slot: make([]int32, sets), next: next, memLat: memLat,
 		blockShift: uint(cfg.BlockBits),
 		setShift:   uint(len2(sets)),
 		setMask:    uint64(sets - 1),
@@ -127,7 +128,8 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // nondeterministic in way order), and LRU stamps may not exceed the
 // cache's access clock. Used by the core's opt-in invariant checker.
 func (c *Cache) CheckInvariants() error {
-	for set, ways := range c.lines {
+	for set := range c.slot {
+		ways := c.touched(set)
 		for i := range ways {
 			if !ways[i].valid {
 				continue
@@ -152,6 +154,27 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	return int(blk & c.setMask), blk >> c.setShift
 }
 
+// touched returns a set's ways, or nil when the set was never touched.
+func (c *Cache) touched(set int) []cacheLine {
+	s := int(c.slot[set])
+	if s == 0 {
+		return nil
+	}
+	w := c.cfg.Ways
+	return c.arena[(s-1)*w : s*w : s*w]
+}
+
+// ways returns a set's ways, materialising the set (all ways invalid) on
+// first touch. The slice aliases the arena, which a later
+// materialisation may move, so it must not be held across one.
+func (c *Cache) ways(set int) []cacheLine {
+	if c.slot[set] == 0 {
+		c.arena = append(c.arena, make([]cacheLine, c.cfg.Ways)...)
+		c.slot[set] = int32(len(c.arena) / c.cfg.Ways)
+	}
+	return c.touched(set)
+}
+
 func len2(n int) int {
 	b := 0
 	for n > 1 {
@@ -167,7 +190,7 @@ func (c *Cache) Access(addr uint64, write bool, cause AccessCause) int {
 	c.tick++
 	c.Stats.Accesses[cause]++
 	set, tag := c.index(addr)
-	ways := c.lines[set]
+	ways := c.ways(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].lru = c.tick
@@ -212,7 +235,7 @@ func (c *Cache) victimAddr(set int, tag uint64) uint64 {
 func (c *Cache) countWriteback(addr uint64) {
 	c.tick++
 	set, tag := c.index(addr)
-	ways := c.lines[set]
+	ways := c.ways(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].dirty = true
@@ -246,7 +269,7 @@ func (c *Cache) fill(addr uint64, cause AccessCause) int {
 // hook).
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.index(addr)
-	for _, w := range c.lines[set] {
+	for _, w := range c.touched(set) {
 		if w.valid && w.tag == tag {
 			return true
 		}
@@ -256,12 +279,13 @@ func (c *Cache) Contains(addr uint64) bool {
 
 // Flush invalidates all lines (counts dirty lines as writebacks).
 func (c *Cache) Flush() {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			if c.lines[s][w].valid && c.lines[s][w].dirty {
+	for set := range c.slot {
+		ways := c.touched(set)
+		for w := range ways {
+			if ways[w].valid && ways[w].dirty {
 				c.Stats.Writebacks++
 			}
-			c.lines[s][w] = cacheLine{}
+			ways[w] = cacheLine{}
 		}
 	}
 }

@@ -54,9 +54,6 @@ func (h *Hierarchy) InstFetch(addr uint64) int {
 	return h.IL1.Access(addr, false, CauseProgram)
 }
 
-// DataAccesses returns the DL1 stats — the quantity Figures 5 plots.
-func (h *Hierarchy) DataAccesses() CacheStats { return h.DL1.Stats }
-
 // CheckInvariants validates every level's directory structure (see
 // Cache.CheckInvariants).
 func (h *Hierarchy) CheckInvariants() error {

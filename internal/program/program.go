@@ -52,6 +52,11 @@ type Program struct {
 	// mutated once Digest has run.
 	digestOnce sync.Once
 	digest     string
+
+	// Lazily-encoded little-endian text bytes (see LoadInto), shared by
+	// every load; Text must not be mutated once LoadInto has run.
+	textOnce  sync.Once
+	textBytes []byte
 }
 
 // TextEnd returns the first address past the text segment.
@@ -173,20 +178,23 @@ func (p *Program) Validate() error {
 }
 
 // Loader is the subset of a memory system the program loader needs.
+// WriteBytes must copy data: LoadInto hands every loader the same
+// encoded text, which must neither be retained nor modified.
 type Loader interface {
 	WriteBytes(addr uint64, data []byte)
 }
 
-// LoadInto copies both segments into a memory image.
+// LoadInto copies both segments into a memory image. The text's
+// little-endian encoding is built once per program and shared by every
+// load.
 func (p *Program) LoadInto(m Loader) {
-	text := make([]byte, 4*len(p.Text))
-	for i, w := range p.Text {
-		text[4*i+0] = byte(w)
-		text[4*i+1] = byte(w >> 8)
-		text[4*i+2] = byte(w >> 16)
-		text[4*i+3] = byte(w >> 24)
-	}
-	m.WriteBytes(p.TextBase, text)
+	p.textOnce.Do(func() {
+		p.textBytes = make([]byte, 4*len(p.Text))
+		for i, w := range p.Text {
+			binary.LittleEndian.PutUint32(p.textBytes[4*i:], uint32(w))
+		}
+	})
+	m.WriteBytes(p.TextBase, p.textBytes)
 	if len(p.Data) > 0 {
 		m.WriteBytes(p.DataBase, p.Data)
 	}

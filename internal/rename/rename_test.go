@@ -2,6 +2,7 @@ package rename
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -355,6 +356,51 @@ func TestVCARSIDFlush(t *testing.T) {
 	// Flush spills are retrievable.
 	if got := v.DrainRSIDOps(); len(got) == 0 {
 		t.Error("expected drained RSID spill ops")
+	}
+	if err := v.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestVCARSIDFlushSetOrder pins the order of an RSID-reuse flush's spills
+// when the flushed space's table sets were first touched out of index
+// order: the flush walks sets in index order, so the spills come out by
+// set index, not by when each set was first used.
+func TestVCARSIDFlushSetOrder(t *testing.T) {
+	cfg := DefaultVCAConfig(1, 32)
+	cfg.RSIDs = 2
+	cfg.OffsetBits = 8 // 256-byte spaces: space 0 covers sets 0-31
+	v := NewVCA(cfg)
+	v.ReadValue = func(p int) uint64 { return 100 + uint64(p) }
+	var ops []MemOp
+	renameCommit := func(addr uint64) {
+		t.Helper()
+		p, prev, ok := v.RenameDest(addr, &ops)
+		if !ok {
+			t.Fatalf("rename of %#x stalled", addr)
+		}
+		v.CommitDest(addr, p, prev)
+	}
+	// Space 0 in set order 31, 8, 16, 1 (registers 0-3), then space 1.
+	for _, addr := range []uint64{0xf8, 0x40, 0x80, 0x08, 0x100} {
+		renameCommit(addr)
+	}
+	if len(ops) != 0 || v.PendingRSIDOps() != 0 {
+		t.Fatalf("%d ops, %d RSID ops before any space was reused", len(ops), v.PendingRSIDOps())
+	}
+	// A third space reuses space 0's RSID, flushing its four registers.
+	renameCommit(0x200)
+	want := []MemOp{
+		{Phys: 3, Addr: 0x08, IsSpill: true, Value: 103},
+		{Phys: 1, Addr: 0x40, IsSpill: true, Value: 101},
+		{Phys: 2, Addr: 0x80, IsSpill: true, Value: 102},
+		{Phys: 0, Addr: 0xf8, IsSpill: true, Value: 100},
+	}
+	if got := v.DrainRSIDOps(); !reflect.DeepEqual(got, want) {
+		t.Errorf("flush spills %+v, want set-index order %+v", got, want)
+	}
+	if v.Stats.RSIDFlushRegs != 4 {
+		t.Errorf("RSIDFlushRegs = %d, want 4", v.Stats.RSIDFlushRegs)
 	}
 	if err := v.CheckInvariants(); err != nil {
 		t.Error(err)

@@ -62,8 +62,7 @@ type physState struct {
 // tableEntry is one rename-table way: the physical register it maps,
 // plus one, so the zero value is an empty way. It keeps no copy of the
 // address: a mapped register's own addr is the entry's tag. At 4 bytes
-// (16 ways per cache line) every rename's scan of a set stays short, and
-// the ideal-window machine's 131,072-entry table takes 512 KB.
+// (16 ways per cache line) every rename's scan of a set stays short.
 type tableEntry int32
 
 // phys returns the mapped register, or PhysNone for an empty way.
@@ -102,9 +101,17 @@ type VCAStats struct {
 // table is modeled faithfully (tags, sets, ways); the commit-side table
 // that drives recovery and overwrite freeing is an unbounded associative
 // structure, since its conflict behavior is not what the paper evaluates.
+//
+// The table holds storage only for the sets a run touches: slot maps each
+// set to its ways (1 + the set's index among materialised sets; 0 = never
+// touched, which reads as all ways empty), and the ways live in chunks of
+// tableChunkSets sets. Chunks never move once allocated, because lookup
+// hands out way pointers that callers hold across further lookups.
 type VCA struct {
 	cfg    VCAConfig
-	table  []tableEntry // sets × ways
+	slot   []int32        // per set: 1 + materialised-set index, 0 = untouched
+	chunks [][]tableEntry // materialised sets' ways, tableChunkSets sets per chunk
+	nsets  int            // materialised sets
 	regs   []physState
 	free   []int
 	commit commitTable
@@ -130,7 +137,7 @@ type VCA struct {
 func NewVCA(cfg VCAConfig) *VCA {
 	v := &VCA{
 		cfg:       cfg,
-		table:     make([]tableEntry, cfg.Sets*cfg.Ways),
+		slot:      make([]int32, cfg.Sets),
 		regs:      make([]physState, cfg.PhysRegs),
 		commit:    newCommitTable(cfg.PhysRegs),
 		rsidTags:  make([]uint64, cfg.RSIDs),
@@ -153,9 +160,32 @@ func (v *VCA) set(addr uint64) int {
 	return int(addr>>3) & (v.cfg.Sets - 1)
 }
 
+// tableChunkSets is how many sets' ways one table chunk holds.
+const tableChunkSets = 64
+
+// touched returns a set's ways, or nil when the set was never touched.
+func (v *VCA) touched(set int) []tableEntry {
+	s := v.slot[set]
+	if s == 0 {
+		return nil
+	}
+	i, w := uint(s-1), uint(v.cfg.Ways)
+	off := i % tableChunkSets * w
+	return v.chunks[i/tableChunkSets][off : off+w : off+w]
+}
+
+// ways returns addr's set, materialising it (all ways empty) on first
+// touch.
 func (v *VCA) ways(addr uint64) []tableEntry {
-	s := v.set(addr)
-	return v.table[s*v.cfg.Ways : (s+1)*v.cfg.Ways]
+	set := v.set(addr)
+	if v.slot[set] == 0 {
+		if v.nsets%tableChunkSets == 0 {
+			v.chunks = append(v.chunks, make([]tableEntry, min(tableChunkSets, v.cfg.Sets)*v.cfg.Ways))
+		}
+		v.nsets++
+		v.slot[set] = int32(v.nsets)
+	}
+	return v.touched(set)
 }
 
 func (v *VCA) tick() uint64 {
@@ -163,9 +193,9 @@ func (v *VCA) tick() uint64 {
 	return v.clock
 }
 
-// lookup finds the table entry for addr.
+// lookup finds the table entry for addr. It never materialises a set.
 func (v *VCA) lookup(addr uint64) (way *tableEntry, phys int) {
-	ways := v.ways(addr)
+	ways := v.touched(v.set(addr))
 	for i := range ways {
 		if p := ways[i].phys(); p != PhysNone && v.regs[p].addr == addr {
 			return &ways[i], p
@@ -523,12 +553,15 @@ func (v *VCA) touchRSID(addr uint64) {
 		// Reusing a live RSID flushes every register in that space.
 		old := v.rsidTags[victim]
 		var ops []MemOp
-		for i := range v.table {
-			p := v.table[i].phys()
-			if p != PhysNone && v.regs[p].addr>>uint(v.cfg.OffsetBits) == old && v.evictable(p) {
-				v.Stats.RSIDFlushRegs++
-				freed := v.evict(&v.table[i], &ops)
-				v.free = append(v.free, freed)
+		for set := range v.slot {
+			ways := v.touched(set)
+			for i := range ways {
+				p := ways[i].phys()
+				if p != PhysNone && v.regs[p].addr>>uint(v.cfg.OffsetBits) == old && v.evictable(p) {
+					v.Stats.RSIDFlushRegs++
+					freed := v.evict(&ways[i], &ops)
+					v.free = append(v.free, freed)
+				}
 			}
 		}
 		v.pendingRSIDOps = append(v.pendingRSIDOps, ops...)
@@ -612,21 +645,23 @@ func (v *VCA) CheckInvariants() error {
 		inFree[p] = true
 	}
 	seen := make([]bool, v.cfg.PhysRegs)
-	for i := range v.table {
-		p := v.table[i].phys()
-		if p == PhysNone {
-			continue
-		}
-		if seen[p] {
-			return fmt.Errorf("vca: register %d mapped by two table entries", p)
-		}
-		seen[p] = true
-		r := &v.regs[p]
-		if inFree[p] {
-			return fmt.Errorf("vca: register %d is free but mapped to %#x", p, r.addr)
-		}
-		if !r.mapped || v.set(r.addr) != i/v.cfg.Ways {
-			return fmt.Errorf("vca: table set %d names register %d, whose state does not map there (%+v)", i/v.cfg.Ways, p, *r)
+	for set := range v.slot {
+		for _, e := range v.touched(set) {
+			p := e.phys()
+			if p == PhysNone {
+				continue
+			}
+			if seen[p] {
+				return fmt.Errorf("vca: register %d mapped by two table entries", p)
+			}
+			seen[p] = true
+			r := &v.regs[p]
+			if inFree[p] {
+				return fmt.Errorf("vca: register %d is free but mapped to %#x", p, r.addr)
+			}
+			if !r.mapped || v.set(r.addr) != set {
+				return fmt.Errorf("vca: table set %d names register %d, whose state does not map there (%+v)", set, p, *r)
+			}
 		}
 	}
 	if err := v.commit.check(); err != nil {

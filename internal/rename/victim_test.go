@@ -14,18 +14,44 @@ func tableScanVictim(v *VCA) *tableEntry {
 	var best *tableEntry
 	bestOW := false
 	var bestLRU uint64
-	for i := range v.table {
-		p := v.table[i].phys()
+	tableWays(v, func(e *tableEntry) {
+		p := e.phys()
 		if p == PhysNone || !v.evictable(p) {
-			continue
+			return
 		}
 		r := &v.regs[p]
 		ow := v.cfg.OverwriteHint && r.owPending > 0
 		if best == nil || (bestOW && !ow) || (bestOW == ow && r.lru < bestLRU) {
-			best, bestOW, bestLRU = &v.table[i], ow, r.lru
+			best, bestOW, bestLRU = e, ow, r.lru
+		}
+	})
+	return best
+}
+
+// tableWays calls fn on every rename-table way in set-index order, the
+// order of the flat sets × ways table the renamer once kept. A set never
+// touched reads as Ways empty entries (fn gets a scratch zero entry).
+func tableWays(v *VCA, fn func(e *tableEntry)) {
+	var empty tableEntry
+	for set := range v.slot {
+		ways := v.touched(set)
+		for i := 0; i < v.cfg.Ways; i++ {
+			if ways == nil {
+				empty = 0
+				fn(&empty)
+				continue
+			}
+			fn(&ways[i])
 		}
 	}
-	return best
+}
+
+// tableOf returns a copy of the whole rename table as the flat sets ×
+// ways array, untouched sets empty.
+func tableOf(v *VCA) []tableEntry {
+	var flat []tableEntry
+	tableWays(v, func(e *tableEntry) { flat = append(flat, *e) })
+	return flat
 }
 
 // oracleEvict performs, on an empty free list, the eviction the oracle
@@ -261,7 +287,7 @@ func runVictimTrial(t *testing.T, rng *rand.Rand, cfg VCAConfig) int {
 		}
 	}
 	vp.sameState("after drain")
-	vp.same("rename table", vp.v.table, vp.twin.table)
+	vp.same("rename table", tableOf(vp.v), tableOf(vp.twin))
 	if err := vp.v.CheckInvariants(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
