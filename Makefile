@@ -17,9 +17,10 @@ test:
 test-race:
 	$(GO) test -race -timeout 30m ./...
 
-# Short-budget native fuzzing over the five fuzz targets (assembler,
+# Short-budget native fuzzing over the six fuzz targets (assembler,
 # mini-C compiler, whole-stack lockstep, checkpoint decoder, result-cache
-# entry decoding beside a legacy index.json). Each target gets a small time budget on top
+# entry decoding beside a legacy index.json, results-stream line
+# encoding against encoding/json). Each target gets a small time budget on top
 # of replaying its committed corpus; failures minimize into testdata/fuzz/
 # automatically. Cache entries are kilobytes and every execution writes
 # two files, so minimizing each new interesting entry under the default
@@ -31,6 +32,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRandomProgramsLockstep$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/emu -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simcache -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzStreamLine$$' -fuzztime $(FUZZTIME)
 
 # Fixed-seed config-space lockstep sweep (see docs/VERIFICATION.md).
 sweep:
@@ -132,10 +134,10 @@ docs-check:
 	$(GO) run ./internal/tools/linkcheck
 
 # Simulator throughput microbenchmarks (ns/inst, simMIPS, allocs/inst),
-# machine construction (B/op per core.New) and result-cache key and hit
-# costs (ns/op, allocs/op).
+# machine construction (B/op per core.New), result-cache fingerprint, key
+# and hit costs, and one results-stream line (ns/op, allocs/op).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkCoreNew|BenchmarkVCAEvictUnderPressure|BenchmarkCosimStep|BenchmarkSimcacheKey|BenchmarkSimcacheHit|BenchmarkSimcachePut' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkCoreNew|BenchmarkVCAEvictUnderPressure|BenchmarkCosimStep|BenchmarkConfigFingerprint|BenchmarkSimcacheKey|BenchmarkSimcacheHit|BenchmarkSimcachePut|BenchmarkStreamLine' -benchmem . ./internal/server
 
 # Throughput smoke gate (wired into `make ci`): BenchmarkSimThroughput at
 # a fixed -benchtime, best-of-3, compared against the committed baseline

@@ -564,6 +564,17 @@ func BenchmarkSimcacheKey(b *testing.B) {
 	}
 }
 
+// BenchmarkConfigFingerprint measures one core.Config.Fingerprint, the
+// config half of every cell's content address.
+func BenchmarkConfigFingerprint(b *testing.B) {
+	cfg, _, _ := simcacheBenchJob(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		simcacheBenchSink = cfg.Fingerprint()
+	}
+}
+
 // BenchmarkSimcacheHit measures a lookup of one stored cell. cold opens
 // the cache directory afresh per op, so every lookup reads, decodes and
 // verifies the entry file; view repeats the lookup on one open cache.

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 )
 
 // SchemaVersion identifies the simulator's cycle-level semantics for
@@ -42,69 +44,128 @@ var fingerprintSkip = map[string]bool{
 // simulation results. Two configs with equal fingerprints produce
 // bit-identical runs on the same programs (given equal SchemaVersion).
 //
-// The encoding walks the struct reflectively so that a newly added
+// The encoding is derived from the struct's type, so a newly added
 // field changes the fingerprint automatically (safe direction: stale
 // cache entries are invalidated, never wrongly reused). Fields listed
 // in fingerprintSkip are observability-only and excluded. A field of a
-// kind the walker does not understand panics, forcing an explicit
+// kind the encoder does not understand panics, forcing an explicit
 // decision when one is introduced.
 func (c *Config) Fingerprint() string {
-	var b strings.Builder
-	writeFingerprint(&b, reflect.ValueOf(*c), "Config", true)
-	return b.String()
+	return string(c.AppendFingerprint(make([]byte, 0, 1024)))
 }
 
-func writeFingerprint(b *strings.Builder, v reflect.Value, name string, top bool) {
-	switch v.Kind() {
+// AppendFingerprint appends c's fingerprint to b. Result-cache keys
+// hash it in place, without materialising the string.
+func (c *Config) AppendFingerprint(b []byte) []byte {
+	return configPlan()(b, reflect.ValueOf(c).Elem())
+}
+
+// fpEncoder appends the fingerprint of v, a value of the type the
+// encoder was compiled for, including the field name and separator
+// that precede it.
+type fpEncoder func(b []byte, v reflect.Value) []byte
+
+// configPlan is Config's encoder, compiled from its type on first use:
+// every field's name, separator and braces become literal text, and
+// only values are read per call.
+var configPlan = sync.OnceValue(func() fpEncoder {
+	return compileFingerprint(reflect.TypeOf(Config{}), "Config", "Config", true)
+})
+
+// compileFingerprint builds the encoder of type t. lit is the text that
+// precedes the value (separator and field name), label names the field
+// in a panic, and top marks Config itself, the only struct whose
+// fingerprintSkip fields are left out. The output format is
+// name{a=1;b=true;s="q"}, name=[0=1,1=2] for arrays and slices, and
+// name=map[k=v,...] with entries sorted for maps. A value of any other
+// kind panics when it is encoded.
+func compileFingerprint(t reflect.Type, lit, label string, top bool) fpEncoder {
+	switch t.Kind() {
 	case reflect.Struct:
-		b.WriteString(name)
-		b.WriteByte('{')
-		t := v.Type()
-		first := true
+		type field struct {
+			index int
+			enc   fpEncoder
+		}
+		var fields []field
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
 			if !f.IsExported() || (top && fingerprintSkip[f.Name]) {
 				continue
 			}
-			if !first {
-				b.WriteByte(';')
+			sep := ";"
+			if len(fields) == 0 {
+				sep = ""
 			}
-			first = false
-			writeFingerprint(b, v.Field(i), f.Name, false)
+			fields = append(fields, field{i, compileFingerprint(f.Type, sep+f.Name, f.Name, false)})
 		}
-		b.WriteByte('}')
+		open := lit + "{"
+		return func(b []byte, v reflect.Value) []byte {
+			b = append(b, open...)
+			for _, f := range fields {
+				b = f.enc(b, v.Field(f.index))
+			}
+			return append(b, '}')
+		}
 	case reflect.Bool:
-		fmt.Fprintf(b, "%s=%v", name, v.Bool())
+		lit += "="
+		return func(b []byte, v reflect.Value) []byte {
+			return strconv.AppendBool(append(b, lit...), v.Bool())
+		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		fmt.Fprintf(b, "%s=%d", name, v.Int())
+		lit += "="
+		return func(b []byte, v reflect.Value) []byte {
+			return strconv.AppendInt(append(b, lit...), v.Int(), 10)
+		}
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		fmt.Fprintf(b, "%s=%d", name, v.Uint())
+		lit += "="
+		return func(b []byte, v reflect.Value) []byte {
+			return strconv.AppendUint(append(b, lit...), v.Uint(), 10)
+		}
 	case reflect.Float32, reflect.Float64:
-		fmt.Fprintf(b, "%s=%g", name, v.Float())
+		lit += "="
+		return func(b []byte, v reflect.Value) []byte {
+			return strconv.AppendFloat(append(b, lit...), v.Float(), 'g', -1, 64)
+		}
 	case reflect.String:
-		fmt.Fprintf(b, "%s=%q", name, v.String())
+		lit += "="
+		return func(b []byte, v reflect.Value) []byte {
+			return strconv.AppendQuote(append(b, lit...), v.String())
+		}
 	case reflect.Array, reflect.Slice:
-		fmt.Fprintf(b, "%s=[", name)
-		for i := 0; i < v.Len(); i++ {
-			if i > 0 {
-				b.WriteByte(',')
+		// Elements are named by their index, so the element encoder
+		// carries no name of its own.
+		elem := compileFingerprint(t.Elem(), "", label+" element", false)
+		lit += "=["
+		return func(b []byte, v reflect.Value) []byte {
+			b = append(b, lit...)
+			for i := 0; i < v.Len(); i++ {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = elem(strconv.AppendInt(b, int64(i), 10), v.Index(i))
 			}
-			writeFingerprint(b, v.Index(i), fmt.Sprintf("%d", i), false)
+			return append(b, ']')
 		}
-		b.WriteByte(']')
 	case reflect.Map:
-		keys := v.MapKeys()
-		strs := make([]string, len(keys))
-		for i, k := range keys {
-			var kb strings.Builder
-			writeFingerprint(&kb, v.MapIndex(k), fmt.Sprint(k.Interface()), false)
-			strs[i] = kb.String()
+		elem := compileFingerprint(t.Elem(), "", label+" element", false)
+		lit += "=map["
+		return func(b []byte, v reflect.Value) []byte {
+			keys := v.MapKeys()
+			entries := make([]string, len(keys))
+			for i, k := range keys {
+				entries[i] = string(elem([]byte(fmt.Sprint(k.Interface())), v.MapIndex(k)))
+			}
+			sort.Strings(entries)
+			b = append(b, lit...)
+			b = append(b, strings.Join(entries, ",")...)
+			return append(b, ']')
 		}
-		sort.Strings(strs)
-		fmt.Fprintf(b, "%s=map[%s]", name, strings.Join(strs, ","))
 	default:
-		panic(fmt.Sprintf("core: Config fingerprint cannot encode field %s of kind %v; "+
-			"add it to fingerprintSkip if it cannot affect results, or teach "+
-			"writeFingerprint the kind", name, v.Kind()))
+		kind := t.Kind()
+		return func([]byte, reflect.Value) []byte {
+			panic(fmt.Sprintf("core: Config fingerprint cannot encode field %s of kind %v; "+
+				"add it to fingerprintSkip if it cannot affect results, or teach "+
+				"compileFingerprint the kind", label, kind))
+		}
 	}
 }

@@ -113,6 +113,3 @@ func (m *Machine) result() *Result {
 
 // Predictor exposes the branch predictor for white-box tests.
 func (m *Machine) Predictor() *branch.Predictor { return m.bp }
-
-// Cycle returns the current cycle (for tests).
-func (m *Machine) Cycle() uint64 { return m.cycle }

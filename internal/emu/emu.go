@@ -169,20 +169,12 @@ func New(p *program.Program, cfg Config) *Machine {
 	return m
 }
 
-// Mem exposes the functional memory (for co-simulation checks and
-// examples that want to inspect results).
-func (m *Machine) Mem() *mem.Memory { return m.mem }
-
 // PC returns the current program counter.
 func (m *Machine) PC() uint64 { return m.pc }
 
 // Exited reports whether the program has executed the exit syscall, and
 // with which status.
 func (m *Machine) Exited() (bool, int64) { return m.exited, m.exitCode }
-
-// CallDepth returns the current register-window depth (0 in the outermost
-// frame). Flat machines always report 0.
-func (m *Machine) CallDepth() int { return m.depth }
 
 // regSlot flattens the ReadReg/WriteReg register classification into one
 // table lookup: -1 for zero registers (and RegNone), window-frame slots

@@ -51,9 +51,6 @@ func SetJobs(n int) { runner.Jobs = n }
 // (nil disables memoization).
 func SetCache(c *simcache.Cache) { cache = c }
 
-// CacheStats reports the installed cache's traffic (zero when disabled).
-func CacheStats() simcache.Stats { return cache.Stats() }
-
 // Arch enumerates the compared architectures.
 type Arch int
 

@@ -134,7 +134,10 @@ func RunMatrixCell(c MatrixCell, stop uint64, cc *simcache.Cache) (counters, par
 		}
 		_, counters, _, err = cc.RunMachineFrom(cfg, progs, windowed, cks)
 	} else {
-		_, counters, _, err = cc.RunMachineShared(simcache.Key(cfg, progs, windowed), cfg, progs, windowed)
+		var e *simcache.Entry
+		if e, _, err = cc.RunMachineShared(simcache.Key(cfg, progs, windowed), cfg, progs, windowed); err == nil {
+			counters = e.Counters
+		}
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("counterpoint: %s: %w", c.Name, err)

@@ -101,14 +101,6 @@ func NewConventional(threads, logicalPerThread, physRegs int) (*Conventional, er
 	return c, nil
 }
 
-// InitialMappings returns the committed mapping table for thread t so the
-// core can install initial architectural values.
-func (c *Conventional) InitialMappings(t int) []int {
-	out := make([]int, c.logical)
-	copy(out, c.arch[t])
-	return out
-}
-
 // FreeCount returns the number of free physical registers (the effective
 // rename-register pool).
 func (c *Conventional) FreeCount() int { return len(c.free) }

@@ -178,13 +178,17 @@ func handleStatus(b Backend, w http.ResponseWriter, r *http.Request) {
 // order: results already landed are sent immediately, then the
 // connection stays open until the job finishes or the client goes away.
 //
-// Each line is encoded into a bounded buffer and explicitly flushed
-// under a per-write deadline, so a reader that stops consuming costs the
-// service exactly one stream goroutine, one buffer, and one deadline —
-// never a cell worker. Workers append results to the job regardless of
-// who is reading; when the flush deadline fires the stream goroutine
-// errors out and the connection closes, while the job (and every other
-// reader) proceeds untouched. The slow-client test pins this.
+// Lines are written into a bounded buffer under a per-line write
+// deadline. The buffer is flushed to the client only when the next
+// result has not landed yet, and at the end of the job, so a burst of
+// ready results leaves in full buffers rather than one write per line,
+// and no line waits in the buffer while the stream waits for the next.
+// A reader that stops consuming costs the service exactly one stream
+// goroutine, one buffer, and one deadline — never a cell worker.
+// Workers append results to the job regardless of who is reading; when
+// the write deadline fires the stream goroutine errors out and the
+// connection closes, while the job (and every other reader) proceeds
+// untouched. The slow-client test pins this.
 func handleResults(b Backend, o *HandlerOptions, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { b.ObserveLatency(RouteResults, uint64(time.Since(start).Microseconds())) }()
@@ -197,10 +201,18 @@ func handleResults(b Backend, o *HandlerOptions, w http.ResponseWriter, r *http.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	rc := http.NewResponseController(w)
 	bw := bufio.NewWriterSize(w, o.StreamBufBytes)
-	enc := json.NewEncoder(bw)
+	le := newLineEncoder()
 	for i := 0; ; i++ {
+		if !j.Ready(i) {
+			// About to wait for the next result: deliver what is written.
+			if err := bw.Flush(); err != nil {
+				return // client stalled or gone
+			}
+			rc.Flush()
+		}
 		res, ok := j.ResultAt(r.Context(), i)
 		if !ok {
+			bw.Flush()
 			// Clear the per-write deadline so a keep-alive connection is
 			// reusable after a clean end of stream.
 			rc.SetWriteDeadline(time.Time{})
@@ -212,12 +224,12 @@ func handleResults(b Backend, o *HandlerOptions, w http.ResponseWriter, r *http.
 			// must not run while blocked in ResultAt above.
 			rc.SetWriteDeadline(time.Now().Add(o.StreamWriteTimeout))
 		}
-		if err := enc.Encode(&res); err != nil {
-			return // buffer flush failed mid-encode: client stalled or gone
-		}
-		if err := bw.Flush(); err != nil {
+		line, err := le.line(&res)
+		if err != nil {
 			return
 		}
-		rc.Flush()
+		if _, err := bw.Write(line); err != nil {
+			return // buffer flush failed mid-write: client stalled or gone
+		}
 	}
 }

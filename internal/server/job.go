@@ -90,10 +90,27 @@ func (j *Job) AppendResult(r CellResult) (last bool) {
 	return last
 }
 
+// Ready reports whether ResultAt(ctx, i) would return without waiting:
+// result i has landed or the job is done. The results stream flushes
+// what it has written only when the next result is not ready.
+func (j *Job) Ready(i int) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return i < len(j.results) || len(j.results) == len(j.Cells)
+}
+
 // ResultAt blocks until result index i exists, the job is done, or ctx
 // is cancelled. ok=false means no more results will come (stream done)
 // or the reader gave up.
 func (j *Job) ResultAt(ctx context.Context, i int) (CellResult, bool) {
+	j.mu.Lock()
+	if i < len(j.results) {
+		r := j.results[i]
+		j.mu.Unlock()
+		return r, true
+	}
+	j.mu.Unlock()
+
 	// A goroutine bridges ctx cancellation into the cond so a stuck
 	// reader whose client disconnected does not leak.
 	stop := context.AfterFunc(ctx, func() {

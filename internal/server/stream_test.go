@@ -1,0 +1,186 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"vca/internal/metrics"
+	"vca/internal/simcache"
+)
+
+// FuzzStreamLine: for any CellResult, with or without its counter map
+// already encoded, the results stream's line is byte-identical to
+// json.NewEncoder(w).Encode of the same value, and fails exactly when
+// Encode fails (a NaN or infinite IPC). One encoder renders every
+// input, so state left over from an earlier line would show up too.
+func FuzzStreamLine(f *testing.F) {
+	type seed struct {
+		arch, bench, out, errMsg, counter, cacheKey string
+		ipc                                         float64
+		counters                                    int // <0 nil map, else counters%8 entries
+		stored                                      bool
+	}
+	for _, s := range []seed{
+		{"baseline", "crafty", "ok\n", "", "core.cycles", "ab12", 1.25, 3, true},
+		{"baseline", "crafty", "ok\n", "", "core.cycles", "ab12", 1.25, 3, false},
+		{"<vca>&", "mesa,twolf", "<b>&amp;</b>", "x > y & z < w", "a<b>&c", "", 0.5, 2, true},
+		{"ideal windowed", "gcc_expr", "line sep ", "err ", "k ", "k", 3, 1, true},
+		{"\xff\xfe", "\xc3\x28", "bad\xffutf8", "bad\xc3\x28error", "\xff", "\x00", 2, 4, true},
+		{"baseline", "crafty", "", "", "core.cycles", "", 1, -1, false},
+		{"baseline", "crafty", "", "", "core.cycles", "", 1, 0, true},
+		{"baseline", "crafty", "", "", "core.cycles", "", 1, 0, false},
+		{"vca-flat", "crafty", "tiny", "", "x", "k", math.SmallestNonzeroFloat64, 1, true},
+		{"vca-flat", "crafty", "huge", "", "x", "k", math.MaxFloat64, 1, true},
+		{"vca-flat", "crafty", "", "", "x", "k", 1e21, 1, false},
+		{"vca-flat", "crafty", "", "", "x", "k", 1e-7, 1, false},
+		{"vca-flat", "crafty", "", "simulation failed", "x", "", math.NaN(), 1, true},
+		{"vca-flat", "crafty", "", "", "x", "", math.Inf(-1), -1, false},
+	} {
+		f.Add(7, s.arch, s.bench, 192, 2, uint64(600), true, uint64(1234), uint64(1000), s.ipc,
+			s.out, s.cacheKey, s.counter, uint64(42), s.counters, s.stored, s.errMsg)
+	}
+	le := newLineEncoder()
+	f.Fuzz(func(t *testing.T, index int, arch, bench string, regs, ports int, stop uint64, valid bool,
+		cycles, committed uint64, ipc float64, out, cacheKey, counter string, value uint64,
+		counters int, stored bool, errMsg string) {
+		r := CellResult{
+			Cell:      Cell{Index: index, Arch: arch, Benchmarks: bench, PhysRegs: regs, DL1Ports: ports, StopAfter: stop},
+			Valid:     valid,
+			Cycles:    cycles,
+			Committed: committed,
+			IPC:       ipc,
+			CacheKey:  cacheKey,
+			Error:     errMsg,
+		}
+		if out != "" {
+			r.Outputs = []string{out, "", out + out}
+		}
+		if counters >= 0 {
+			r.Counters = map[string]uint64{}
+			for i := 0; i < counters%8; i++ {
+				r.Counters[counter+string(rune('a'+i))] = value + uint64(i)
+			}
+		}
+		if stored && r.Counters != nil {
+			b, err := json.Marshal(r.Counters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.countersJSON = b
+		}
+		var want bytes.Buffer
+		werr := json.NewEncoder(&want).Encode(&r)
+		got, gerr := le.line(&r)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("Encode error %v, stream line error %v", werr, gerr)
+		}
+		if werr == nil && !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("stream line differs from Encode\nline:   %q\nencode: %q", got, want.Bytes())
+		}
+	})
+}
+
+// holdBackend is a Backend serving one job whose results the test
+// appends by hand.
+type holdBackend struct{ job *Job }
+
+func (b *holdBackend) Submit(SweepRequest) (*Job, error) { return nil, errors.New("not accepting") }
+func (b *holdBackend) Job(id string) (*Job, bool)        { return b.job, id == b.job.ID }
+func (b *holdBackend) Draining() bool                    { return false }
+func (b *holdBackend) MetricSamples() []metrics.Sample   { return nil }
+func (b *holdBackend) ObserveLatency(string, uint64)     {}
+
+// TestStreamFlushesBeforeWaiting: the results stream may hold written
+// lines back only while more results are ready. With result 1 held
+// back, the client must read line 0 before result 1 is appended; a
+// stream that flushed only at the end of the job would never deliver
+// it, and the read would time out.
+func TestStreamFlushesBeforeWaiting(t *testing.T) {
+	cells := []Cell{{Index: 0, Arch: "baseline", Benchmarks: "crafty"}, {Index: 1, Arch: "vca-flat", Benchmarks: "mesa"}}
+	job := NewJob("sw-hold", SweepRequest{}, PriorityNormal, cells, context.Background(), time.Minute)
+	b := &holdBackend{job: job}
+	ts := httptest.NewServer(NewHandler(b, HandlerOptions{}))
+	defer ts.Close()
+
+	results := []CellResult{
+		{Cell: cells[0], Valid: true, Cycles: 10, Counters: map[string]uint64{"a": 1}, countersJSON: []byte(`{"a":1}`)},
+		{Cell: cells[1], Error: "held back"},
+	}
+	job.AppendResult(results[0])
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/sweeps/sw-hold/results", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	for i, r := range results {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("reading line %d: %v", i, err)
+		}
+		if want := ndjsonLine(t, r); !bytes.Equal(line, want) {
+			t.Fatalf("line %d = %q, want %q", i, line, want)
+		}
+		if i == 0 {
+			if job.Ready(1) {
+				t.Fatal("result 1 landed before the test appended it")
+			}
+			job.AppendResult(results[1])
+		}
+	}
+	if rest, err := br.ReadBytes('\n'); len(rest) != 0 || err == nil {
+		t.Fatalf("stream continued after the last result: %q, %v", rest, err)
+	}
+}
+
+// BenchmarkStreamLine measures rendering one results-stream line for a
+// cached cell. view carries the counter map already encoded, as the
+// result store's view hands it out; cold has only the map, as a
+// simulated or router-relayed cell does, and encodes it on the spot.
+func BenchmarkStreamLine(b *testing.B) {
+	cache, err := simcache.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := Cell{Arch: "vca-windowed", Benchmarks: "gcc_expr", PhysRegs: 256, DL1Ports: 2, StopAfter: 2000}
+	if r := RunCell(cache, c); r.Error != "" {
+		b.Fatal(r.Error)
+	}
+	view := RunCell(cache, c)
+	if view.countersJSON == nil {
+		b.Fatal("a replayed cell carries no encoded counters")
+	}
+	cold := view
+	cold.countersJSON = nil
+	for _, bc := range []struct {
+		name string
+		r    CellResult
+	}{{"cold", cold}, {"view", view}} {
+		b.Run(bc.name, func(b *testing.B) {
+			le := newLineEncoder()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				line, err := le.line(&bc.r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(line)))
+			}
+		})
+	}
+}

@@ -67,6 +67,9 @@ type Cell struct {
 // re-running anything. CacheKey is the job's content address in the
 // shared result store; the store's entry file <cache>/<CacheKey>.json
 // is its provenance record.
+//
+// Counters and Error stay the last two fields: the results stream
+// splices them after the rest (lineEncoder).
 type CellResult struct {
 	Cell
 	Valid     bool              `json:"valid"`
@@ -77,6 +80,11 @@ type CellResult struct {
 	CacheKey  string            `json:"cache_key,omitempty"`
 	Counters  map[string]uint64 `json:"counters,omitempty"`
 	Error     string            `json:"error,omitempty"`
+
+	// countersJSON is Counters already encoded, when the result store's
+	// view answered the cell (simcache.Entry.CountersJSON); shared and
+	// read-only.
+	countersJSON []byte
 }
 
 // archByName maps the public architecture names (cmd/vcasim -arch) onto
@@ -235,16 +243,18 @@ func RunCell(cache *simcache.Cache, c Cell) CellResult {
 		return out // Valid stays false: a "No Baseline" region
 	}
 	key := simcache.Key(cfg, progs, windowed)
-	res, counters, _, err := cache.RunMachineShared(key, cfg, progs, windowed)
+	e, _, err := cache.RunMachineShared(key, cfg, progs, windowed)
 	if err != nil {
 		out.Error = err.Error()
 		return out
 	}
+	res := e.Result
 	out.Valid = true
 	out.Cycles = res.Cycles
 	out.IPC = res.IPC()
 	out.CacheKey = key
-	out.Counters = counters
+	out.Counters = e.Counters
+	out.countersJSON = e.CountersJSON()
 	for _, t := range res.Threads {
 		out.Committed += t.Committed
 		out.Outputs = append(out.Outputs, t.Output)

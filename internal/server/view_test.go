@@ -35,9 +35,11 @@ func viewTestCells() []Cell {
 // TestViewHitMatchesColdHit: a hit answered from a cache's in-memory
 // view is indistinguishable from a cold hit, the first verified read of
 // the entry file by a freshly opened cache over the same directory —
-// DeepEqual result and counters and a byte-identical NDJSON line — for
-// all 15 benchmarks on a baseline and a VCA config. A nil cache
-// simulates the cell and streams the same line.
+// DeepEqual result and counters and a byte-identical NDJSON line, both
+// as encoding/json renders the result and as the results stream
+// renders it from the view's encoded counters — for all 15 benchmarks
+// on a baseline and a VCA config. A nil cache simulates the cell and
+// streams the same line.
 func TestViewHitMatchesColdHit(t *testing.T) {
 	dir := t.TempDir()
 	writer, err := simcache.Open(dir)
@@ -48,6 +50,7 @@ func TestViewHitMatchesColdHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	le := newLineEncoder()
 	cells := viewTestCells()
 	if len(cells) != 30 {
 		t.Fatalf("%d cells, want 15 benchmarks × 2 configs", len(cells))
@@ -63,9 +66,22 @@ func TestViewHitMatchesColdHit(t *testing.T) {
 			t.Fatal(err)
 		}
 		coldLine := ndjsonLine(t, RunCell(fresh, c))
-		viewLine := ndjsonLine(t, RunCell(reader, c))
+		viewHit := RunCell(reader, c)
+		viewLine := ndjsonLine(t, viewHit)
 		if !bytes.Equal(viewLine, coldLine) {
 			t.Fatalf("cell %d: view-hit line differs from cold-hit line\nview: %s\ncold: %s", c.Index, viewLine, coldLine)
+		}
+		// The stream splices the view's encoded counters instead of
+		// encoding the map; its line must be the cold line all the same.
+		if viewHit.countersJSON == nil {
+			t.Fatalf("cell %d: a view hit carries no encoded counters", c.Index)
+		}
+		streamed, err := le.line(&viewHit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(streamed, coldLine) {
+			t.Fatalf("cell %d: streamed view-hit line differs from cold-hit line\nstream: %s\ncold:   %s", c.Index, streamed, coldLine)
 		}
 
 		key, _, err := CellKey(c)

@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -18,8 +19,8 @@ import (
 // Open and Get must never panic, and Len counts the entry file but not
 // the index; Get answers only bytes that decode to an entry whose
 // checksum, key, schema and result verify, and returns exactly what
-// they hold; any other file is removed, counted as corrupt, and kept
-// out of the verified view.
+// they hold, with the counter map's encoding beside it; any other file
+// is removed, counted as corrupt, and kept out of the verified view.
 func FuzzCacheEntry(f *testing.F) {
 	seedDir := f.TempDir()
 	seed, err := Open(seedDir)
@@ -110,6 +111,9 @@ func FuzzCacheEntry(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got.Result, want.Result) || !reflect.DeepEqual(got.Counters, want.Counters) {
 			t.Fatal("Get returned something other than the verified payload")
+		}
+		if wantJSON, err := json.Marshal(want.Counters); err != nil || !bytes.Equal(got.CountersJSON(), wantJSON) {
+			t.Fatalf("view's encoded counters %q, want json.Marshal of the verified map %q", got.CountersJSON(), wantJSON)
 		}
 		if again, ok := c.Get(key); !ok || again != got {
 			t.Fatal("a verified entry is not answered from the view")

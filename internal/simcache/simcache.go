@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,34 +60,57 @@ import (
 //
 // The program half of the derivation is each image's memoized
 // program.Program.Digest, so repeat keys over the same images hash only
-// the config fingerprint; KeyFromParts combines the parts.
+// the config fingerprint, which is appended straight into the hashed
+// buffer.
 func Key(cfg core.Config, progs []*program.Program, windowed bool) string {
-	digests := make([]string, len(progs))
-	for i, p := range progs {
-		digests[i] = p.Digest()
+	b := cfg.AppendFingerprint(append(make([]byte, 0, 2048), keyPrefix...))
+	b = appendKeyPrograms(b, windowed, len(progs))
+	for _, p := range progs {
+		b = appendKeyProgram(b, p.Digest())
 	}
-	return KeyFromParts(cfg.Fingerprint(), windowed, digests)
+	return hashKey(b)
 }
 
 // KeyFromParts derives a job's content address from its already-derived
 // parts: the config fingerprint (core.Config.Fingerprint), the windowed
 // flag, and one program.Program.Digest per thread in thread order. Key
-// is KeyFromParts over those parts; the equality is pinned by
+// hashes the same bytes; the equality is pinned by
 // TestKeyFromPartsMatchesKey.
 func KeyFromParts(cfgFingerprint string, windowed bool, progDigests []string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "schema=%d\n", core.SchemaVersion)
-	fmt.Fprintf(h, "config=%s\n", cfgFingerprint)
-	fmt.Fprintf(h, "windowed=%v\nprograms=%d\n", windowed, len(progDigests))
+	b := append(append(make([]byte, 0, 2048), keyPrefix...), cfgFingerprint...)
+	b = appendKeyPrograms(b, windowed, len(progDigests))
 	for _, d := range progDigests {
-		fmt.Fprintf(h, "program=%s\n", d)
+		b = appendKeyProgram(b, d)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hashKey(b)
+}
+
+// The hashed bytes of a key are, line by line: schema=<SchemaVersion>,
+// config=<fingerprint>, windowed=<bool>, programs=<count>, and one
+// program=<digest> per thread. TestKeyGolden pins them.
+var keyPrefix = "schema=" + strconv.Itoa(core.SchemaVersion) + "\nconfig="
+
+func appendKeyPrograms(b []byte, windowed bool, n int) []byte {
+	b = strconv.AppendBool(append(b, "\nwindowed="...), windowed)
+	return append(strconv.AppendInt(append(b, "\nprograms="...), int64(n), 10), '\n')
+}
+
+func appendKeyProgram(b []byte, digest string) []byte {
+	return append(append(append(b, "program="...), digest...), '\n')
+}
+
+func hashKey(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // Entry is one stored simulation result: the full core.Result (minus
 // the live metrics registry) and the flat counter map, plus provenance
 // and an integrity checksum over the payload.
+//
+// An entry the in-memory view answers (Get) also carries its counter
+// map already encoded, so a service streaming the entry many times
+// encodes the map once (CountersJSON).
 type Entry struct {
 	Schema   int               `json:"schema"`
 	Key      string            `json:"key"`
@@ -95,7 +119,14 @@ type Entry struct {
 	Result   *core.Result      `json:"result"`
 	Counters map[string]uint64 `json:"counters,omitempty"`
 	Checksum string            `json:"checksum"` // SHA-256 of payloadBytes(Result, Counters)
+
+	countersJSON []byte // json.Marshal(Counters), kept by the view
 }
+
+// CountersJSON returns json.Marshal(e.Counters) for an entry answered
+// by Get, and nil for one just simulated. The bytes are shared with
+// every other caller; do not modify them.
+func (e *Entry) CountersJSON() []byte { return e.countersJSON }
 
 // payloadBytes is the canonical byte form the checksum covers:
 // encoding/json is deterministic over structs (declaration order) and
@@ -171,7 +202,8 @@ type Cache struct {
 
 	// view answers repeat lookups from memory. It holds, per key, the
 	// entry a disk read in this process verified (checksum, key and
-	// schema), trimmed to Schema, Key, Result and Counters. Only Get
+	// schema), trimmed to Schema, Key, Result and Counters, plus the
+	// counter map's encoding (Entry.CountersJSON). Only Get
 	// fills it — never Put, whose simulated Result still carries a live
 	// registry that pins its whole machine — and Clear and
 	// discardCorrupt empty it. Its size is bounded by the distinct cells
@@ -180,6 +212,7 @@ type Cache struct {
 	viewMu  sync.Mutex
 	view    map[string]*Entry
 	viewGen uint64
+	names   map[string]string // counter names the view's entries share (internNames)
 }
 
 // Open creates (if needed) and opens a cache directory, listing it once
@@ -193,7 +226,7 @@ func Open(dir string) (*Cache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("simcache: %w", err)
 	}
-	c := &Cache{dir: dir, keys: map[string]struct{}{}, view: map[string]*Entry{}}
+	c := &Cache{dir: dir, keys: map[string]struct{}{}, view: map[string]*Entry{}, names: map[string]string{}}
 	for _, e := range names {
 		key, ok := strings.CutSuffix(e.Name(), ".json")
 		if ok && !e.IsDir() && !strings.HasPrefix(key, "ck-") && key != "index" {
@@ -260,9 +293,9 @@ func (c *Cache) entryPath(key string) string {
 //
 // The first Get of a key in this process reads and verifies its file;
 // later ones return the same entry from memory. The returned entry
-// carries Schema, Key, Result (with a nil Metrics registry) and
-// Counters, and is shared by every caller: treat it, its Result and
-// its Counters as read-only.
+// carries Schema, Key, Result (with a nil Metrics registry), Counters
+// and CountersJSON, and is shared by every caller: treat it, its
+// Result, its Counters and their encoding as read-only.
 func (c *Cache) Get(key string) (*Entry, bool) {
 	if c == nil {
 		return nil, false
@@ -277,16 +310,38 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 	if e, ok = c.read(key); !ok {
 		return nil, false
 	}
-	e = &Entry{Schema: e.Schema, Key: e.Key, Result: e.Result, Counters: e.Counters}
+	cj, _ := json.Marshal(e.Counters) // a map of uint64 always encodes
 	c.viewMu.Lock()
 	defer c.viewMu.Unlock()
 	if prev, ok := c.view[key]; ok {
 		return prev, true // a concurrent Get got here first: share its entry
 	}
+	e = &Entry{Schema: e.Schema, Key: e.Key, Result: e.Result, Counters: c.internNames(e.Counters), countersJSON: cj}
 	if c.viewGen == gen {
 		c.view[key] = e
 	}
 	return e, true
+}
+
+// internNames returns a copy of counters whose names are the view's
+// shared copies. Every entry names nearly the same counters, so the
+// view holds each name once rather than once per entry; that saving
+// pays for the entry's encoded counters. Called with viewMu held.
+func (c *Cache) internNames(counters map[string]uint64) map[string]uint64 {
+	if counters == nil {
+		return nil
+	}
+	out := make(map[string]uint64, len(counters))
+	//lint:maporder fills a map, whose contents do not depend on the order
+	for name, v := range counters {
+		if shared, ok := c.names[name]; ok {
+			name = shared
+		} else {
+			c.names[name] = name
+		}
+		out[name] = v
+	}
+	return out
 }
 
 // read loads and verifies key's entry file, discarding it when it fails

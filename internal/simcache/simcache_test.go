@@ -529,7 +529,7 @@ func TestSimulationsMatchMisses(t *testing.T) {
 	cfg2 := cfg
 	cfg2.StopAfter = cfg.StopAfter + 1000
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := cache.RunMachineShared(Key(cfg2, progs, windowed), cfg2, progs, windowed); err != nil {
+		if _, _, err := cache.RunMachineShared(Key(cfg2, progs, windowed), cfg2, progs, windowed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -606,5 +606,39 @@ func TestKeyFromPartsMatchesKey(t *testing.T) {
 	}
 	if digests[0] == digests[1] {
 		t.Error("distinct workloads share a program digest")
+	}
+}
+
+// TestKeyGolden pins simcache.Key for two workloads under a baseline
+// and a windowed VCA configuration. A changed key silently orphans
+// every entry of every persistent store while every in-process round
+// trip still passes, so the hex values were recorded once and are
+// never regenerated.
+func TestKeyGolden(t *testing.T) {
+	for _, g := range []struct{ bench, model, key string }{
+		{"crafty", "baseline", "56189eaa64bf848cbad462a07a18747a829f3fcdf1c0f6aca3355a58d7b71f58"},
+		{"crafty", "vca-window", "6dd0ea185ceaffb2206fd9c6b67ad3467377f1d4872f02491885a683b20fb687"},
+		{"gcc_expr", "baseline", "f4dee9eca7d01ab1ce697780e633690c0c7e8f305a5d707ba2aa1a9356092de0"},
+		{"gcc_expr", "vca-window", "185bc6903029b7016bb5a489aac0f1caf2687840c8d3a7db1e8f7dd5c382476e"},
+	} {
+		b, err := workload.ByName(g.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := testModels[0]
+		if g.model == testModels[2].name {
+			m = testModels[2]
+		}
+		cfg, progs, windowed := jobFor(t, b, m)
+		if got := Key(cfg, progs, windowed); got != g.key {
+			t.Errorf("%s/%s: key %s, want %s", g.bench, g.model, got, g.key)
+		}
+		digests := make([]string, len(progs))
+		for i, p := range progs {
+			digests[i] = p.Digest()
+		}
+		if got := KeyFromParts(cfg.Fingerprint(), windowed, digests); got != g.key {
+			t.Errorf("%s/%s: KeyFromParts %s, want %s", g.bench, g.model, got, g.key)
+		}
 	}
 }

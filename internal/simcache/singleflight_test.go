@@ -57,27 +57,26 @@ func TestSingleflightFollowerSharesLeader(t *testing.T) {
 	c.sf.flights = map[string]*flight{key: f}
 
 	type out struct {
-		res      *core.Result
-		counters map[string]uint64
-		hit      bool
-		err      error
+		e   *Entry
+		hit bool
+		err error
 	}
 	got := make(chan out, 1)
 	go func() {
-		r, cm, hit, err := c.RunMachineShared(key, cfg, progs, false)
-		got <- out{r, cm, hit, err}
+		e, hit, err := c.RunMachineShared(key, cfg, progs, false)
+		got <- out{e, hit, err}
 	}()
 
 	// Publish the leader's outcome and release the follower.
-	f.res, f.counters = res, counters
+	f.e = simulated(key, res, counters)
 	close(f.done)
 
 	o := <-got
 	if o.err != nil {
 		t.Fatalf("follower error: %v", o.err)
 	}
-	if o.res != res {
-		t.Fatalf("follower did not share the leader's result pointer")
+	if o.e != f.e || o.e.Result != res {
+		t.Fatalf("follower did not share the leader's entry")
 	}
 	if !o.hit {
 		t.Fatalf("follower not reported as a shared hit")
@@ -109,12 +108,12 @@ func TestSingleflightConcurrentIdenticalJobs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, counters, _, err := c.RunMachineShared(key, cfg, progs, false)
+			e, _, err := c.RunMachineShared(key, cfg, progs, false)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			payloads[i], errs[i] = payloadBytes(res, counters)
+			payloads[i], errs[i] = payloadBytes(e.Result, e.Counters)
 		}(i)
 	}
 	wg.Wait()

@@ -1,9 +1,12 @@
 package simcache
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"vca/internal/workload"
 )
@@ -43,25 +46,33 @@ func TestViewReplayAccounting(t *testing.T) {
 		cfg, progs, windowed := jobFor(t, b, testModels[0])
 		key := Key(cfg, progs, windowed)
 		keys = append(keys, key)
-		if _, _, hit, err := c.RunMachineShared(key, cfg, progs, windowed); err != nil || hit {
-			t.Fatalf("%s first run: hit=%v err=%v", name, hit, err)
+		if e, hit, err := c.RunMachineShared(key, cfg, progs, windowed); err != nil || hit || e.CountersJSON() != nil {
+			t.Fatalf("%s first run: hit=%v err=%v, simulated answer carries encoded counters: %v", name, hit, err, e.CountersJSON() != nil)
 		}
 		if inView(c, key) {
 			t.Fatalf("%s: Put filled the view", name)
 		}
-		var first map[string]uint64
+		var first *Entry
 		for i := 0; i < N; i++ {
-			res, counters, hit, err := c.RunMachineShared(key, cfg, progs, windowed)
+			e, hit, err := c.RunMachineShared(key, cfg, progs, windowed)
 			if err != nil || !hit {
 				t.Fatalf("%s replay %d: hit=%v err=%v", name, i, hit, err)
 			}
-			if res.Metrics != nil {
+			if e.Result.Metrics != nil {
 				t.Fatalf("%s replay %d: result carries a live registry", name, i)
 			}
 			if i == 0 {
-				first = counters
-			} else if reflect.ValueOf(counters).UnsafePointer() != reflect.ValueOf(first).UnsafePointer() {
-				t.Fatalf("%s replay %d: counters were decoded again instead of shared", name, i)
+				first = e
+				want, err := json.Marshal(e.Counters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(e.CountersJSON(), want) {
+					t.Fatalf("%s: view's encoded counters differ from json.Marshal of its map", name)
+				}
+			} else if reflect.ValueOf(e.Counters).UnsafePointer() != reflect.ValueOf(first.Counters).UnsafePointer() ||
+				&e.CountersJSON()[0] != &first.CountersJSON()[0] {
+				t.Fatalf("%s replay %d: counters were decoded or encoded again instead of shared", name, i)
 			}
 		}
 	}
@@ -72,10 +83,22 @@ func TestViewReplayAccounting(t *testing.T) {
 	if n := viewLen(c); n != K {
 		t.Fatalf("view holds %d keys, want %d", n, K)
 	}
+	// The view keeps one copy of each counter name across its entries.
+	shared := map[string]*byte{}
+	for name := range c.view[keys[0]].Counters {
+		shared[name] = unsafe.StringData(name)
+	}
+	for _, key := range keys[1:] {
+		for name := range c.view[key].Counters {
+			if p, ok := shared[name]; ok && p != unsafe.StringData(name) {
+				t.Fatalf("view entry %.12s holds its own copy of counter name %q", key, name)
+			}
+		}
+	}
 	for _, key := range keys {
 		e := c.view[key]
-		if e.Key != key || e.Result == nil || e.Result.Metrics != nil || e.Config != "" || e.Checksum != "" {
-			t.Errorf("view entry %.12s holds more or less than key, result and counters: %+v", key, e)
+		if e.Key != key || e.Result == nil || e.Result.Metrics != nil || e.Config != "" || e.Checksum != "" || e.countersJSON == nil {
+			t.Errorf("view entry %.12s holds more or less than key, result, counters and their encoding: %+v", key, e)
 		}
 	}
 }
