@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race fuzz-smoke sweep counterpoint-gate check ci docs-check analyze fix-audit bench benchjson experiments cache-smoke cache-ci bench-smoke region-gate serve-smoke shard-smoke shard-bench serve clean gitignore-check
+.PHONY: all build test test-race fuzz-smoke sweep counterpoint-gate check ci docs-check analyze fix-audit bench benchjson experiments cache-smoke cache-ci bench-smoke region-gate serve-smoke shard-bench serve clean gitignore-check
 
 all: build test
 
@@ -17,10 +17,10 @@ test:
 test-race:
 	$(GO) test -race -timeout 30m ./...
 
-# Short-budget native fuzzing over the six fuzz targets (assembler,
+# Short-budget native fuzzing over the seven fuzz targets (assembler,
 # mini-C compiler, whole-stack lockstep, checkpoint decoder, result-cache
 # entry decoding beside a legacy index.json, results-stream line
-# encoding against encoding/json). Each target gets a small time budget on top
+# encoding against encoding/json, sweep-request admission). Each target gets a small time budget on top
 # of replaying its committed corpus; failures minimize into testdata/fuzz/
 # automatically. Cache entries are kilobytes and every execution writes
 # two files, so minimizing each new interesting entry under the default
@@ -33,6 +33,7 @@ fuzz-smoke:
 	$(GO) test ./internal/emu -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simcache -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzStreamLine$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime $(FUZZTIME)
 
 # Fixed-seed config-space lockstep sweep (see docs/VERIFICATION.md).
 sweep:
@@ -74,22 +75,17 @@ cache-ci:
 region-gate:
 	$(GO) test ./internal/experiments -run '^TestRegionStitchedIdentityGate$$' -count=1 -v
 
-# Sweep-service smoke gate: build and start a real vcaserved, submit a
-# tiny sweep over HTTP, assert /healthz + /readyz + /metrics and that
-# the streamed NDJSON results are byte-identical to a direct in-process
-# simcache.Runner run, then SIGTERM and require a clean drain (exit 0).
-# See docs/SERVICE.md.
+# Sweep-service smoke gate, both topologies over real processes: build
+# vcaserved, start a single daemon, 2 workers and a router over them.
+# The single daemon must answer /healthz + /readyz, stream NDJSON
+# byte-identical to a direct in-process server.RunCells run, serve the
+# runbook's /metrics series and drain cleanly on SIGTERM (exit 0). The
+# router's merged stream must be byte-identical to the single daemon's,
+# two tenants' identical sweeps must cost the FLEET exactly one
+# simulation per distinct cell (aggregated /metrics: misses ==
+# simulations), and SIGKILLing a worker mid-sweep must lose and
+# duplicate nothing. See docs/SERVICE.md.
 serve-smoke:
-	$(GO) run ./internal/tools/servesmoke
-
-# Sharded-fabric smoke gate: build vcaserved, start 2 workers + router
-# (+ a single daemon as reference), and assert over real processes that
-# the merged stream is byte-identical to a single daemon's, that two
-# tenants' identical sweeps cost the FLEET exactly one simulation per
-# distinct cell (aggregated /metrics: misses == simulations), and that
-# SIGKILLing a worker mid-sweep loses and duplicates nothing. See
-# docs/SERVICE.md "Sharded deployment".
-shard-smoke:
 	$(GO) run ./internal/tools/shardsmoke
 
 # Honest sharded-throughput measurement (1 vs 2 workers + cache-affine
@@ -116,14 +112,15 @@ fix-audit:
 
 # Extended gate: static checks, the lint suite, the race suite, the
 # fuzz smoke, the cache round-trip smoke, the parallel-region identity
-# gate, the counter-oracle gate, and the sweep-service smoke. Slower
+# gate, the counter-oracle gate, and the sweep-service smoke (single
+# daemon and sharded fleet). Slower
 # than `make test`; run before sending a change.
-check: docs-check analyze gitignore-check test-race fuzz-smoke cache-smoke region-gate counterpoint-gate serve-smoke shard-smoke
+check: docs-check analyze gitignore-check test-race fuzz-smoke cache-smoke region-gate counterpoint-gate serve-smoke
 
 # Continuous-integration gate: everything check runs, plus the
 # fixed-seed verification sweep, the run-twice cache round trip, and the
 # throughput smoke gate (detailed + functional engines).
-ci: build docs-check analyze gitignore-check test-race fuzz-smoke cache-smoke region-gate counterpoint-gate serve-smoke shard-smoke sweep cache-ci bench-smoke
+ci: build docs-check analyze gitignore-check test-race fuzz-smoke cache-smoke region-gate counterpoint-gate serve-smoke sweep cache-ci bench-smoke
 
 # Documentation gate: all Go code gofmt-clean (examples included),
 # go vet over everything, and no broken relative links in any *.md.

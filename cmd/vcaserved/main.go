@@ -72,34 +72,40 @@ var (
 	flagDrainTimeout = flag.Duration("draintimeout", 30*time.Second, "on SIGTERM/SIGINT, how long to let queued and running cells finish before abandoning them")
 )
 
-// service is what main needs from either mode: the worker (server.New)
-// and the router (shard.New) both serve the same API and drain the same
-// way — one binary, two roles.
+// service is what main needs from either role: a worker (server.New)
+// and a router (shard.New, a server.Server that dispatches its cells to
+// workers) serve the same API and drain the same way — one binary, two
+// roles.
 type service interface {
 	Handler() http.Handler
 	Drain(context.Context) error
 }
 
-// workerOnlyFlags cannot take effect in -route mode; passing one
-// explicitly is a configuration error, not something to ignore.
-var workerOnlyFlags = map[string]bool{
-	"cachedir": true, "nocache": true, "workers": true, "queue": true,
+// roleFlags are the flags only one role consults, each mapped to
+// whether that role is the router. Passing one to the other role is a
+// configuration error, not something to ignore: the router keeps the
+// default queue bound and runs no simulations.
+var roleFlags = map[string]bool{
+	"cachedir": false, "nocache": false, "workers": false, "queue": false,
+	"vnodes": true, "inflight": true,
 }
 
-// routerOnlyFlags likewise only make sense with -route.
-var routerOnlyFlags = map[string]bool{"vnodes": true, "inflight": true}
-
 func buildService() (service, error) {
-	if *flagRoute == "" {
-		var bad []string
-		flag.Visit(func(f *flag.Flag) {
-			if routerOnlyFlags[f.Name] {
-				bad = append(bad, "-"+f.Name)
-			}
-		})
-		if len(bad) > 0 {
-			return nil, fmt.Errorf("%s only apply with -route", strings.Join(bad, ", "))
+	routed := *flagRoute != ""
+	var bad []string
+	flag.Visit(func(f *flag.Flag) {
+		if router, ok := roleFlags[f.Name]; ok && router != routed {
+			bad = append(bad, "-"+f.Name)
 		}
+	})
+	switch {
+	case len(bad) > 0 && routed:
+		return nil, fmt.Errorf("%s do not apply with -route (cells execute on the workers)", strings.Join(bad, ", "))
+	case len(bad) > 0:
+		return nil, fmt.Errorf("%s only apply with -route", strings.Join(bad, ", "))
+	}
+
+	if !routed {
 		var cache *simcache.Cache
 		if !*flagNoCache {
 			var err error
@@ -119,15 +125,6 @@ func buildService() (service, error) {
 		}), nil
 	}
 
-	var bad []string
-	flag.Visit(func(f *flag.Flag) {
-		if workerOnlyFlags[f.Name] {
-			bad = append(bad, "-"+f.Name)
-		}
-	})
-	if len(bad) > 0 {
-		return nil, fmt.Errorf("%s do not apply with -route (cells execute on the workers)", strings.Join(bad, ", "))
-	}
 	return shard.New(shard.Options{
 		Workers:            strings.Split(*flagRoute, ","),
 		VNodes:             *flagVNodes,
@@ -162,7 +159,7 @@ func main() {
 		fail(err)
 	}
 	httpSrv := &http.Server{Handler: svc.Handler()}
-	// The smoke harnesses (internal/tools/servesmoke, shardsmoke) parse
+	// The smoke gate (internal/tools/shardsmoke) parses
 	// this line to learn the bound port; keep the format stable.
 	fmt.Printf("vcaserved: listening on http://%s\n", ln.Addr())
 

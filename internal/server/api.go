@@ -5,94 +5,35 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"time"
 
-	"vca/internal/metrics"
 	"vca/internal/metrics/promexport"
 )
 
-// Backend is what the HTTP layer needs from a sweep service. Two
-// implementations exist: Server (a single daemon executing cells on its
-// own worker pool) and shard.Router (a fan-out front end dispatching
-// cells to N Servers over HTTP). Both serve the identical client API —
-// a client cannot tell a router from a worker — which is what lets
-// `vcaserved -route ...` drop in front of an existing deployment
-// without touching any client.
-type Backend interface {
-	// Submit validates and admits one sweep. Errors: ErrQueueFull (429),
-	// ErrQueueClosed (503), anything else is a validation failure (400).
-	Submit(req SweepRequest) (*Job, error)
-	// Job looks up an admitted job by id.
-	Job(id string) (*Job, bool)
-	// Draining reports whether graceful shutdown has begun (readyz 503).
-	Draining() bool
-	// MetricSamples returns the full metric surface /metrics renders —
-	// for a router, the merged worker registries plus its own counters.
-	MetricSamples() []metrics.Sample
-	// ObserveLatency records one handler latency observation in
-	// microseconds; route is one of RouteSubmit/RouteStatus/RouteResults.
-	ObserveLatency(route string, us uint64)
-}
+// streamBufBytes sizes each result stream's write buffer. The buffer
+// bounds per-stream memory: a stalled reader costs one buffer, not an
+// unbounded queue of encoded results.
+const streamBufBytes = 32 << 10
 
-// Handler latency routes.
-const (
-	RouteSubmit  = "submit"
-	RouteStatus  = "status"
-	RouteResults = "results"
-)
-
-// HandlerOptions tunes the shared HTTP layer.
-type HandlerOptions struct {
-	// StreamWriteTimeout is the per-result write deadline on NDJSON
-	// result streams: every line must reach the socket within it, so one
-	// stalled reader holds at most one stream goroutine for one deadline
-	// (never a cell worker — results land in the job regardless).
-	// 0 takes the 1m default; negative disables the deadline.
-	StreamWriteTimeout time.Duration
-	// StreamBufBytes sizes each result stream's write buffer (0 = 32
-	// KiB). The buffer bounds per-stream memory: a stalled reader costs
-	// one buffer, not an unbounded queue of encoded results.
-	StreamBufBytes int
-	// Pprof mounts net/http/pprof under /debug/pprof/ when true. Off by
-	// default: the profiling surface is operator-only (docs/SERVICE.md).
-	Pprof bool
-}
-
-func (o *HandlerOptions) withDefaults() HandlerOptions {
-	out := *o
-	if out.StreamWriteTimeout == 0 {
-		out.StreamWriteTimeout = time.Minute
-	}
-	if out.StreamBufBytes <= 0 {
-		out.StreamBufBytes = 32 << 10
-	}
-	return out
-}
-
-// NewHandler returns the sweep-service routing table over any Backend.
-// Server.Handler wraps it for the single daemon; the shard router
-// mounts it unchanged, which is what keeps the two wire-compatible.
-func NewHandler(b Backend, opts HandlerOptions) http.Handler {
-	o := opts.withDefaults()
+// Handler returns the sweep-service routing table. A worker and the
+// shard router serve it alike — a client cannot tell a router from a
+// worker — which is what lets `vcaserved -route ...` drop in front of an
+// existing deployment without touching any client.
+func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmit(b, w, r)
-	})
-	mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
-		handleStatus(b, w, r)
-	})
-	mux.HandleFunc("GET /v1/sweeps/{id}/results", func(w http.ResponseWriter, r *http.Request) {
-		handleResults(b, &o, w, r)
-	})
+	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
+	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleStatus)
+	mux.HandleFunc("GET /v1/sweeps/{id}/results", s.handleResults)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if b.Draining() {
+		if s.Draining() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprintln(w, "draining")
 			return
@@ -101,7 +42,7 @@ func NewHandler(b Backend, opts HandlerOptions) http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		promexport.Write(w, "vca", b.MetricSamples())
+		promexport.Write(w, "vca", s.MetricSamples())
 	})
 	// The machine-readable twin of /metrics: the raw sample set as JSON.
 	// The shard router scrapes its workers here — merging samples is
@@ -109,9 +50,9 @@ func NewHandler(b Backend, opts HandlerOptions) http.Handler {
 	// bucket bounds, kinds, units).
 	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(b.MetricSamples())
+		json.NewEncoder(w).Encode(s.MetricSamples())
 	})
-	if o.Pprof {
+	if s.opts.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -128,18 +69,28 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-func handleSubmit(b Backend, w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { b.ObserveLatency(RouteSubmit, uint64(time.Since(start).Microseconds())) }()
-
+// decodeSweepRequest reads a POST /v1/sweeps body: one JSON object
+// with no unknown fields. FuzzSweepRequest drives it as handleSubmit
+// does.
+func decodeSweepRequest(body io.Reader) (SweepRequest, error) {
 	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding sweep request: %w", err))
+		return req, fmt.Errorf("decoding sweep request: %w", err)
+	}
+	return req, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	defer s.met.latSubmit.since(time.Now())
+
+	req, err := decodeSweepRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	j, err := b.Submit(req)
+	j, err := s.Submit(req)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		httpError(w, http.StatusTooManyRequests, err)
@@ -161,11 +112,10 @@ func handleSubmit(b Backend, w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func handleStatus(b Backend, w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { b.ObserveLatency(RouteStatus, uint64(time.Since(start).Microseconds())) }()
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	defer s.met.latStatus.since(time.Now())
 
-	j, ok := b.Job(r.PathValue("id"))
+	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
 		return
@@ -189,18 +139,17 @@ func handleStatus(b Backend, w http.ResponseWriter, r *http.Request) {
 // the write deadline fires the stream goroutine errors out and the
 // connection closes, while the job (and every other reader) proceeds
 // untouched. The slow-client test pins this.
-func handleResults(b Backend, o *HandlerOptions, w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { b.ObserveLatency(RouteResults, uint64(time.Since(start).Microseconds())) }()
+func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
+	defer s.met.latResults.since(time.Now())
 
-	j, ok := b.Job(r.PathValue("id"))
+	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	rc := http.NewResponseController(w)
-	bw := bufio.NewWriterSize(w, o.StreamBufBytes)
+	bw := bufio.NewWriterSize(w, streamBufBytes)
 	le := newLineEncoder()
 	for i := 0; ; i++ {
 		if !j.Ready(i) {
@@ -218,11 +167,11 @@ func handleResults(b Backend, o *HandlerOptions, w http.ResponseWriter, r *http.
 			rc.SetWriteDeadline(time.Time{})
 			return
 		}
-		if o.StreamWriteTimeout > 0 {
+		if s.opts.StreamWriteTimeout > 0 {
 			// Arm (or re-arm) the write deadline for this result only: a
 			// stream legitimately sits idle between results, so the clock
 			// must not run while blocked in ResultAt above.
-			rc.SetWriteDeadline(time.Now().Add(o.StreamWriteTimeout))
+			rc.SetWriteDeadline(time.Now().Add(s.opts.StreamWriteTimeout))
 		}
 		line, err := le.line(&res)
 		if err != nil {

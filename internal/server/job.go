@@ -47,7 +47,7 @@ type Job struct {
 	failed   int
 }
 
-func NewJob(id string, req SweepRequest, prio Priority, cells []Cell, base context.Context, timeout time.Duration) *Job {
+func newJob(id string, req SweepRequest, prio Priority, cells []Cell, base context.Context, timeout time.Duration) *Job {
 	ctx, cancel := context.WithTimeout(base, timeout)
 	j := &Job{
 		ID:       id,
@@ -63,18 +63,17 @@ func NewJob(id string, req SweepRequest, prio Priority, cells []Cell, base conte
 	return j
 }
 
-// MarkStarted flips the job to running on its first dispatched cell.
-func (j *Job) MarkStarted() {
+// markStarted flips the job to running on its first dispatched cell.
+func (j *Job) markStarted() {
 	j.mu.Lock()
 	j.started = true
 	j.mu.Unlock()
 }
 
-// AppendResult records one finished cell and wakes streamers; it
-// returns true when this was the job's last cell. The single daemon's
-// workers and the shard router's dispatchers both land results here —
-// exactly once per admitted cell.
-func (j *Job) AppendResult(r CellResult) (last bool) {
+// appendResult records one finished cell and wakes streamers; it
+// returns true when this was the job's last cell. Server.recordResult
+// lands every answer here, exactly once per admitted cell.
+func (j *Job) appendResult(r CellResult) (last bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.results = append(j.results, r)
@@ -196,8 +195,3 @@ func (j *Job) Status() Status {
 	}
 	return s
 }
-
-// Context returns the job's context, which carries the per-job timeout.
-// The shard router derives per-cell dispatch contexts from it so a
-// routed cell observes the same wall-time budget as a local one.
-func (j *Job) Context() context.Context { return j.ctx }

@@ -22,18 +22,23 @@
 // event-counter map — the CounterPoint-style surface downstream
 // validation consumes (PAPERS.md).
 //
+// The job engine — admission, queue, job table, result recording,
+// drain and the service metrics — is the same for both roles a daemon
+// can play. Only the Executor that answers a popped cell differs: New
+// simulates it locally, and the shard router (internal/server/shard)
+// passes NewWithExecutor one that dispatches it to a worker.
+//
 // The server drains gracefully: Drain stops admission (readyz turns
 // 503, submissions get 503, the queue closes), lets queued and running
 // cells finish within the drain budget, then cancels stragglers. Every
 // operational knob, metric series, and alerting rule is documented in
 // docs/SERVICE.md; the architecture and its design decisions are
-// DESIGN.md §13.
+// DESIGN.md §13 and §15.
 package server
 
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -62,8 +67,10 @@ type Options struct {
 	// per request via timeout_sec (0 = 10m).
 	JobTimeout time.Duration
 	// StreamWriteTimeout is the per-result write deadline on NDJSON
-	// result streams (0 = 1m, negative disables); see
-	// HandlerOptions.StreamWriteTimeout.
+	// result streams: every line must reach the socket within it, so one
+	// stalled reader holds at most one stream goroutine for one deadline
+	// (never a cell worker — results land in the job regardless).
+	// 0 takes the 1m default; negative disables the deadline.
 	StreamWriteTimeout time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (off by
 	// default; operator-only, see docs/SERVICE.md).
@@ -88,17 +95,60 @@ func (o *Options) withDefaults() Options {
 	if out.JobTimeout <= 0 {
 		out.JobTimeout = 10 * time.Minute
 	}
+	if out.StreamWriteTimeout == 0 {
+		out.StreamWriteTimeout = time.Minute
+	}
 	return out
 }
 
-// Server is the sweep service: queue, workers, job table, metrics.
-// Create with New, mount Handler on an http.Server, and call Drain on
+// Executor answers the cells a Server's workers pop off its queue.
+type Executor interface {
+	// Run answers cell c of job j. ctx carries the job's deadline and is
+	// cancelled by a forced drain; Run must return soon after it ends.
+	// Every failure is an answer: it goes into CellResult.Error.
+	Run(ctx context.Context, j *Job, c Cell) CellResult
+	// MetricSamples completes the engine's own series into everything
+	// /metrics renders.
+	MetricSamples(engine []metrics.Sample) []metrics.Sample
+}
+
+// local is the worker role's Executor: it simulates each cell against
+// the shared result store (RunCell). A cell that outlives its job's
+// deadline is reported failed while its simulation goroutine drains on
+// its own, bounded by Config.MaxCycles — the same abandonment
+// discipline as simcache.Runner timeouts.
+type local struct{ cache *simcache.Cache }
+
+func (l local) Run(ctx context.Context, _ *Job, c Cell) CellResult {
+	start := time.Now()
+	done := make(chan CellResult, 1)
+	go func() { done <- RunCell(l.cache, c) }()
+	select {
+	case res := <-done:
+		return res
+	case <-ctx.Done():
+		return CellResult{Cell: c, Error: fmt.Sprintf("cell abandoned after %v: %v", time.Since(start).Round(time.Millisecond), ctx.Err())}
+	}
+}
+
+// MetricSamples adds the shared result store's counters.
+func (l local) MetricSamples(engine []metrics.Sample) []metrics.Sample {
+	if l.cache != nil {
+		engine = append(engine, l.cache.MetricsRegistry().Snapshot()...)
+	}
+	return engine
+}
+
+// Server is the sweep service's job engine: queue, workers, job table,
+// metrics, and an Executor that answers cells. Create with New (or
+// NewWithExecutor), mount Handler on an http.Server, and call Drain on
 // shutdown. All methods are safe for concurrent use.
 type Server struct {
-	opts  Options
-	cache *simcache.Cache
-	queue *Queue
-	met   serviceMetrics
+	opts   Options
+	exec   Executor
+	prefix string // metric namespace of the engine's own series
+	queue  *Queue
+	met    serviceMetrics
 
 	baseCtx    context.Context // parent of every job context
 	cancelBase context.CancelFunc
@@ -111,21 +161,39 @@ type Server struct {
 	jobs map[string]*Job
 }
 
-// New builds a server and starts its worker pool.
+// New builds a worker: a server that simulates cells on its own worker
+// pool against opts.Cache, with its series under server.*.
 func New(opts Options) *Server {
+	return NewWithExecutor(opts, "server", local{cache: opts.Cache})
+}
+
+// NewWithExecutor builds a server whose workers hand each popped cell
+// to exec, names its own metric series prefix.*, and starts its worker
+// pool. opts.Cache is not consulted: exec owns execution.
+func NewWithExecutor(opts Options, prefix string, exec Executor) *Server {
+	s := newServer(opts, prefix, exec)
+	s.start()
+	return s
+}
+
+func newServer(opts Options, prefix string, exec Executor) *Server {
 	o := opts.withDefaults()
 	s := &Server{
-		opts:  o,
-		cache: o.Cache,
-		queue: NewQueue(o.QueueLimit),
-		jobs:  make(map[string]*Job),
+		opts:   o,
+		exec:   exec,
+		prefix: prefix,
+		queue:  NewQueue(o.QueueLimit),
+		jobs:   make(map[string]*Job),
 	}
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
-	for i := 0; i < o.Workers; i++ {
+	return s
+}
+
+func (s *Server) start() {
+	for i := 0; i < s.opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	return s
 }
 
 // worker pulls cells in scheduling order and executes them until the
@@ -141,15 +209,12 @@ func (s *Server) worker() {
 	}
 }
 
-// runItem executes one cell with the job's deadline and records the
-// result. A cell whose job deadline already expired (or whose server is
-// force-draining) fails without simulating; a cell that exceeds the
-// deadline mid-run is reported failed while its simulation goroutine
-// drains on its own, bounded by Config.MaxCycles — the same abandonment
-// discipline as simcache.Runner timeouts.
+// runItem answers one cell through the executor under the job's
+// deadline and records the result. A cell whose job deadline already
+// expired (or whose server is force-draining) fails without executing.
 func (s *Server) runItem(it workItem) {
 	j := it.job
-	j.MarkStarted()
+	j.markStarted()
 	cell := j.Cells[it.cell]
 
 	var res CellResult
@@ -158,14 +223,8 @@ func (s *Server) runItem(it workItem) {
 	} else {
 		s.met.cellsRunning.Add(1)
 		start := time.Now()
-		done := make(chan CellResult, 1)
-		go func() { done <- RunCell(s.cache, cell) }()
-		select {
-		case res = <-done:
-		case <-j.ctx.Done():
-			res = CellResult{Cell: cell, Error: fmt.Sprintf("cell abandoned after %v: %v", time.Since(start).Round(time.Millisecond), j.ctx.Err())}
-		}
-		s.met.latCell.Observe(uint64(time.Since(start).Microseconds()))
+		res = s.exec.Run(j.ctx, j, cell)
+		s.met.latCell.since(start)
 		s.met.cellsRunning.Add(-1)
 	}
 
@@ -183,7 +242,7 @@ func (s *Server) recordResult(j *Job, res CellResult) {
 	} else if !res.Valid {
 		s.met.cellsInvalid.Add(1)
 	}
-	if last := j.AppendResult(res); last {
+	if last := j.appendResult(res); last {
 		s.met.jobsRunning.Add(-1)
 		s.met.jobsDone.Add(1)
 		if j.Status().CellsFailed > 0 {
@@ -218,7 +277,7 @@ func (s *Server) Submit(req SweepRequest) (*Job, error) {
 		timeout = time.Duration(req.TimeoutSec) * time.Second
 	}
 	id := fmt.Sprintf("sw-%06d", s.seq.Add(1))
-	j := NewJob(id, req, prio, cells, s.baseCtx, timeout)
+	j := newJob(id, req, prio, cells, s.baseCtx, timeout)
 
 	indices := make([]int, len(cells))
 	for i := range indices {
@@ -305,41 +364,10 @@ func (s *Server) reconcileLostCells() {
 // Draining reports whether Drain has begun (readyz state).
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Handler returns the service's HTTP routing table (the shared sweep
-// API over this server as its Backend; see api.go).
-func (s *Server) Handler() http.Handler {
-	return NewHandler(s, HandlerOptions{
-		StreamWriteTimeout: s.opts.StreamWriteTimeout,
-		Pprof:              s.opts.EnablePprof,
-	})
-}
-
-// MetricSamples implements Backend: the service-level series plus the
-// shared result store's counters — everything /metrics renders. The
-// full name mapping lives in docs/SERVICE.md and docs/OBSERVABILITY.md.
+// MetricSamples returns everything /metrics renders: the engine's
+// series under its prefix, completed by the executor (a worker adds its
+// result store's counters, the router its fleet's). The full name
+// mapping lives in docs/SERVICE.md and docs/OBSERVABILITY.md.
 func (s *Server) MetricSamples() []metrics.Sample {
-	samples := s.met.snapshot(s.queue.Depth(), s.queue.InvariantFailures())
-	if s.cache != nil {
-		samples = append(samples, s.cache.MetricsRegistry().Snapshot()...)
-	}
-	return samples
-}
-
-// ObserveLatency implements Backend: handler latencies land in the
-// server.latency.* histograms.
-func (s *Server) ObserveLatency(route string, us uint64) {
-	switch route {
-	case RouteSubmit:
-		s.met.latSubmit.Observe(us)
-	case RouteStatus:
-		s.met.latStatus.Observe(us)
-	case RouteResults:
-		s.met.latResults.Observe(us)
-	}
-}
-
-// Metrics returns a point-in-time sample set of the service metrics —
-// the same data /metrics renders, for in-process consumers and tests.
-func (s *Server) Metrics() []metrics.Sample {
-	return s.met.snapshot(s.queue.Depth(), s.queue.InvariantFailures())
+	return s.exec.MetricSamples(s.met.snapshot(s.prefix, s.queue.Depth(), s.queue.InvariantFailures()))
 }

@@ -404,9 +404,7 @@ func TestQueueDivergenceSurvivesAndAnswers(t *testing.T) {
 	}
 	// Build the server without its worker pool so the admitted cells are
 	// still queued when the corruption is injected.
-	o := (&Options{Workers: 2, Cache: cache}).withDefaults()
-	s := &Server{opts: o, cache: cache, queue: NewQueue(o.QueueLimit), jobs: make(map[string]*Job)}
-	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
+	s := newServer(Options{Workers: 2}, "server", local{cache: cache})
 
 	j, err := s.Submit(SweepRequest{
 		Benchmarks: []string{"gap", "crafty", "twolf"},
@@ -432,10 +430,7 @@ func TestQueueDivergenceSurvivesAndAnswers(t *testing.T) {
 	// Start the workers. They serve the surviving cells, then hit the
 	// divergence (size claims one more cell than the rings hold), repair
 	// it, and drain cleanly.
-	for i := 0; i < o.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
+	s.start()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
@@ -476,7 +471,7 @@ func TestQueueDivergenceSurvivesAndAnswers(t *testing.T) {
 	// The repair is visible on the metric surface.
 	var v uint64
 	found := false
-	for _, sm := range s.Metrics() {
+	for _, sm := range s.MetricSamples() {
 		if sm.Name == "server.queue_invariant_failures" {
 			v, found = sm.Value, true
 		}
@@ -560,7 +555,7 @@ func TestSlowClientCannotStallService(t *testing.T) {
 	// (recording a results-latency observation) with the client still
 	// not reading.
 	waitUntil(t, 10*time.Second, "stalled stream reaped by the write deadline", func() bool {
-		for _, sm := range s.Metrics() {
+		for _, sm := range s.MetricSamples() {
 			if sm.Name == "server.latency.results_us" {
 				return sm.Count >= 1
 			}

@@ -11,22 +11,17 @@ import (
 	"vca/internal/server"
 )
 
-// routerMetrics is the router's own counter surface, exported under
-// server.shard.* next to the aggregated worker registries. Routed cells
-// are also counted per shard (server.shard.routed.w<i>), which is what
-// lets an operator see affinity working: re-submitting a sweep moves
-// no per-shard counter differently than the first submission did.
+// routerMetrics is the dispatcher's own counter surface, exported
+// under server.shard.* next to the router's engine series (jobs, cells,
+// queue, handler latencies: server.Server under the server.shard
+// prefix) and the aggregated worker registries. Routed cells are also
+// counted per shard (server.shard.routed.w<i>), which is what lets an
+// operator see affinity working: re-submitting a sweep moves no
+// per-shard counter differently than the first submission did.
 // docs/OBSERVABILITY.md carries the full table.
 type routerMetrics struct {
-	jobsSubmitted atomic.Uint64 // sweeps accepted by the router (202)
-	jobsRejected  atomic.Uint64 // sweeps refused (validation, draining)
-	jobsDone      atomic.Uint64 // sweeps whose last cell was answered
-	jobsRunning   atomic.Int64  // sweeps admitted, not yet finished (gauge)
-
-	cellsRouted   atomic.Uint64 // cells dispatched to some worker
-	cellsLocal    atomic.Uint64 // cells answered locally (No-Baseline / build errors)
-	cellsFailed   atomic.Uint64 // cells that exhausted every worker
-	cellsInflight atomic.Int64  // cells currently dispatched (gauge)
+	cellsRouted atomic.Uint64 // cells dispatched to some worker
+	cellsLocal  atomic.Uint64 // cells answered locally (No-Baseline / build errors)
 
 	retries   atomic.Uint64 // re-attempts against the same worker (backoff path)
 	failovers atomic.Uint64 // cells moved to a ring successor after a worker failed
@@ -36,51 +31,33 @@ type routerMetrics struct {
 
 	perWorker []atomic.Uint64 // routed cells per shard, index-aligned with workers
 
-	latSubmit   server.AtomicHistogram // POST /v1/sweeps handler latency (µs)
-	latStatus   server.AtomicHistogram // GET /v1/sweeps/{id} handler latency (µs)
-	latResults  server.AtomicHistogram // GET .../results stream duration (µs)
 	latDispatch server.AtomicHistogram // per-cell dispatch round trip incl. worker queue+sim (µs)
 }
 
-// ownSamples renders the router-local series. workersTotal/healthy are
+// ownSamples renders the dispatcher's series. workers and healthy are
 // sampled by the caller (the pool owns them).
 func (m *routerMetrics) ownSamples(workers []string, healthy int) []metrics.Sample {
 	ctr := func(name string, v uint64, desc string) metrics.Sample {
 		return metrics.Sample{Name: name, Kind: "counter", Unit: "events", Desc: desc, Value: v}
 	}
-	gauge := func(name string, v int64, desc string) metrics.Sample {
-		if v < 0 {
-			v = 0
-		}
+	gauge := func(name string, v int, desc string) metrics.Sample {
 		return metrics.Sample{Name: name, Kind: "gauge", Unit: "events", Desc: desc, Value: uint64(v)}
 	}
 	out := []metrics.Sample{
-		ctr("server.shard.jobs_submitted", m.jobsSubmitted.Load(), "sweep jobs accepted by the router"),
-		ctr("server.shard.jobs_rejected", m.jobsRejected.Load(), "sweep submissions the router refused (validation or draining)"),
-		ctr("server.shard.jobs_done", m.jobsDone.Load(), "sweep jobs whose last cell was answered"),
-		gauge("server.shard.jobs_running", m.jobsRunning.Load(), "sweep jobs admitted by the router and not yet finished"),
 		ctr("server.shard.cells_routed", m.cellsRouted.Load(), "cells dispatched to a worker"),
 		ctr("server.shard.cells_local", m.cellsLocal.Load(), "cells answered by the router without dispatch (No-Baseline regions and build errors)"),
-		ctr("server.shard.cells_failed", m.cellsFailed.Load(), "cells that exhausted every worker and were answered with an error"),
-		gauge("server.shard.cells_inflight", m.cellsInflight.Load(), "cells currently dispatched to workers"),
 		ctr("server.shard.retries", m.retries.Load(), "dispatch re-attempts against the same worker (exponential backoff)"),
 		ctr("server.shard.failovers", m.failovers.Load(), "cells re-dispatched to a ring successor after their worker failed"),
 		ctr("server.shard.remapped", m.remapped.Load(), "cells routed off their primary shard because its worker was unhealthy (remap fraction = remapped / cells_routed)"),
 		ctr("server.shard.scrape_errors", m.scrapeErrors.Load(), "worker /metrics.json aggregation fetches that failed"),
-		gauge("server.shard.workers", int64(len(workers)), "configured workers"),
-		gauge("server.shard.workers_healthy", int64(healthy), "workers currently believed dispatchable"),
+		gauge("server.shard.workers", len(workers), "configured workers"),
+		gauge("server.shard.workers_healthy", healthy, "workers currently believed dispatchable"),
 	}
 	for i := range m.perWorker {
 		out = append(out, ctr(fmt.Sprintf("server.shard.routed.w%d", i), m.perWorker[i].Load(),
 			fmt.Sprintf("cells routed to shard w%d (%s)", i, workers[i])))
 	}
-	out = append(out,
-		m.latSubmit.Sample("server.shard.latency.submit_us", "us", "router POST /v1/sweeps handler latency"),
-		m.latStatus.Sample("server.shard.latency.status_us", "us", "router GET /v1/sweeps/{id} handler latency"),
-		m.latResults.Sample("server.shard.latency.results_us", "us", "router GET /v1/sweeps/{id}/results stream duration"),
-		m.latDispatch.Sample("server.shard.latency.dispatch_us", "us", "per-cell dispatch round trip (worker queue wait and simulation included)"),
-	)
-	return out
+	return append(out, m.latDispatch.Sample("server.shard.latency.dispatch_us", "us", "per-cell dispatch round trip (worker queue wait and simulation included)"))
 }
 
 // scrapeWorker fetches one worker's raw metric samples from its

@@ -1,13 +1,14 @@
 // Package shard turns N independent vcaserved workers into one
-// cache-affine sweep fleet. A Router accepts the unchanged sweep API
-// (POST /v1/sweeps and friends — it mounts server.NewHandler like any
-// worker), expands each sweep into cells, derives every cell's simcache
-// content address (server.CellKey), and routes it on a consistent-hash
-// ring so identical cells — from any tenant, in any sweep, at any time
+// cache-affine sweep fleet. A Router is a server.Server — the same
+// admission, priority/tenant queue, job table, drain and HTTP API a
+// worker runs — whose executor sends each cell it pops to a worker
+// instead of simulating it. The executor derives the cell's simcache
+// content address (server.CellKey) and routes it on a consistent-hash
+// ring, so identical cells — from any tenant, in any sweep, at any time
 // — always land on the same worker and hit that worker's shared result
-// cache and singleflight table. That extends the PR-7 invariant
-// "misses == simulations" from one daemon to the whole fleet: a cell
-// simulates exactly once fleet-wide, no matter how many tenants ask.
+// cache and singleflight table. That extends a daemon's invariant
+// "misses == simulations" to the whole fleet: a cell simulates exactly
+// once fleet-wide, no matter how many tenants ask.
 //
 // Dispatch is per cell over pooled persistent HTTP connections, with
 // per-cell retry + exponential backoff against the owning worker and
@@ -15,11 +16,11 @@
 // NDJSON streams merge back into one completion-ordered client stream
 // through the shared server.Job machinery. /metrics aggregates every
 // worker's registry (fetched as raw samples from /metrics.json, merged
-// by metrics.Merge) plus the router's own server.shard.* counters.
+// by metrics.Merge) plus the router's own server.shard.* series.
 //
 // Topology, failure semantics, and the cache-affinity guarantee are
 // documented in docs/SERVICE.md ("Sharded deployment"); the
-// acceptance gate is `make shard-smoke` (internal/tools/shardsmoke).
+// acceptance gate is `make serve-smoke` (internal/tools/shardsmoke).
 package shard
 
 import (

@@ -36,8 +36,9 @@ type Options struct {
 	// same deadline as a local one.
 	JobTimeout time.Duration
 	// Inflight bounds the router's concurrent dispatches per worker
-	// (0 = 16). Beyond it, cells queue in the router rather than piling
-	// connections onto a busy worker.
+	// (0 = 16). Beyond it, cells wait in the router rather than piling
+	// connections onto a busy worker. The router runs len(Workers) ×
+	// Inflight dispatch goroutines.
 	Inflight int
 	// RetryAttempts is how many times a cell is tried against one
 	// worker before failing over to the ring successor (0 = 3).
@@ -52,8 +53,8 @@ type Options struct {
 	// ScrapeTimeout bounds each worker /metrics.json fetch during
 	// aggregation (0 = 2s).
 	ScrapeTimeout time.Duration
-	// StreamWriteTimeout and EnablePprof pass through to the HTTP
-	// layer; see server.HandlerOptions.
+	// StreamWriteTimeout and EnablePprof pass through to the engine;
+	// see server.Options.
 	StreamWriteTimeout time.Duration
 	EnablePprof        bool
 	// Client overrides the dispatch HTTP client (nil builds one with a
@@ -65,12 +66,6 @@ func (o *Options) withDefaults() Options {
 	out := *o
 	if out.VNodes <= 0 {
 		out.VNodes = 128
-	}
-	if out.MaxCellsPerSweep <= 0 {
-		out.MaxCellsPerSweep = server.DefaultMaxCellsPerSweep
-	}
-	if out.JobTimeout <= 0 {
-		out.JobTimeout = 10 * time.Minute
 	}
 	if out.Inflight <= 0 {
 		out.Inflight = 16
@@ -91,28 +86,27 @@ func (o *Options) withDefaults() Options {
 }
 
 // Router fans sweeps out across a fleet of vcaserved workers with
-// cache-affine cell routing (see the package comment). It implements
-// server.Backend, so server.NewHandler serves the identical client API
-// over it that a single worker serves.
+// cache-affine cell routing (see the package comment). It is a
+// server.Server — the admission, queue, job table, drain and HTTP API a
+// worker runs — whose executor, the dispatcher, sends each cell it pops
+// to the worker owning the cell's cache key. A client cannot tell it
+// from a worker.
 type Router struct {
+	*server.Server
+	d *dispatcher
+}
+
+// dispatcher is the router's server.Executor: the ring, the worker pool
+// and the router's own series.
+type dispatcher struct {
 	opts Options
 	ring *Ring
 	pool *workerPool
 	met  routerMetrics
-
-	baseCtx    context.Context // parent of every job context
-	cancelBase context.CancelFunc
-	draining   atomic.Bool
-
-	wg  sync.WaitGroup // per-cell dispatcher goroutines
-	seq atomic.Uint64  // job id sequence
-
-	mu   sync.Mutex
-	jobs map[string]*server.Job
 }
 
-// New builds a router over the given workers and starts its health
-// prober. Callers own shutdown via Drain.
+// New builds a router over the given workers and starts its dispatch
+// goroutines and health prober. Callers own shutdown via Drain.
 func New(opts Options) (*Router, error) {
 	o := opts.withDefaults()
 	if len(o.Workers) == 0 {
@@ -141,88 +135,31 @@ func New(opts Options) (*Router, error) {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	r := &Router{
+	d := &dispatcher{
 		opts: o,
 		ring: NewRing(workers, o.VNodes),
 		pool: newWorkerPool(workers, o.Client, o.Inflight, o.HealthInterval),
-		jobs: make(map[string]*server.Job),
 	}
-	r.met.perWorker = make([]atomic.Uint64, len(workers))
-	r.baseCtx, r.cancelBase = context.WithCancel(context.Background())
-	return r, nil
+	d.met.perWorker = make([]atomic.Uint64, len(workers))
+	srv := server.NewWithExecutor(server.Options{
+		// One dispatch goroutine per worker slot, so the pool's
+		// per-worker semaphore, not the goroutine count, bounds each
+		// worker's load. The queue bound is the engine default.
+		Workers:            len(workers) * o.Inflight,
+		MaxCellsPerSweep:   o.MaxCellsPerSweep,
+		JobTimeout:         o.JobTimeout,
+		StreamWriteTimeout: o.StreamWriteTimeout,
+		EnablePprof:        o.EnablePprof,
+	}, "server.shard", d)
+	return &Router{Server: srv, d: d}, nil
 }
 
-// Submit implements server.Backend: validate, expand, and dispatch
-// every cell to its ring owner. Validation is identical to a worker's —
-// the router rejects exactly what a single daemon would reject, so
-// clients see one API regardless of topology.
-func (r *Router) Submit(req server.SweepRequest) (*server.Job, error) {
-	if r.draining.Load() {
-		r.met.jobsRejected.Add(1)
-		return nil, server.ErrQueueClosed
-	}
-	prio, err := server.ParsePriority(req.Priority)
-	if err != nil {
-		r.met.jobsRejected.Add(1)
-		return nil, err
-	}
-	cells, err := server.ExpandCells(&req, r.opts.MaxCellsPerSweep)
-	if err != nil {
-		r.met.jobsRejected.Add(1)
-		return nil, err
-	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
-	timeout := r.opts.JobTimeout
-	if req.TimeoutSec > 0 {
-		timeout = time.Duration(req.TimeoutSec) * time.Second
-	}
-	id := fmt.Sprintf("sw-%06d", r.seq.Add(1))
-	j := server.NewJob(id, req, prio, cells, r.baseCtx, timeout)
-	r.mu.Lock()
-	r.jobs[id] = j
-	r.mu.Unlock()
-	r.met.jobsSubmitted.Add(1)
-	r.met.jobsRunning.Add(1)
-	// Cells dispatch immediately — the router has no queue of its own
-	// (worker queues provide the priority classes and tenant fairness),
-	// so the job is running from admission.
-	j.MarkStarted()
-	r.wg.Add(len(cells))
-	for i := range cells {
-		go r.dispatchCell(j, cells[i])
-	}
-	return j, nil
-}
-
-// Job implements server.Backend.
-func (r *Router) Job(id string) (*server.Job, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j, ok := r.jobs[id]
-	return j, ok
-}
-
-// Draining implements server.Backend.
-func (r *Router) Draining() bool { return r.draining.Load() }
-
-// Handler returns the router's HTTP routing table — the same sweep API
-// a worker serves, over this router as its Backend.
-func (r *Router) Handler() http.Handler {
-	return server.NewHandler(r, server.HandlerOptions{
-		StreamWriteTimeout: r.opts.StreamWriteTimeout,
-		Pprof:              r.opts.EnablePprof,
-	})
-}
-
-// record lands one answered cell in its job, exactly once per admitted
-// cell — every dispatchCell return path funnels through here.
-func (r *Router) record(j *server.Job, res server.CellResult) {
-	if last := j.AppendResult(res); last {
-		r.met.jobsRunning.Add(-1)
-		r.met.jobsDone.Add(1)
-	}
+// Drain drains the engine like a worker's (server.Server.Drain: every
+// admitted cell is answered), then stops the health prober.
+func (r *Router) Drain(ctx context.Context) error {
+	err := r.Server.Drain(ctx)
+	r.d.pool.Close()
+	return err
 }
 
 // Dispatch error classes. Busy (worker 429) fails over without marking
@@ -239,30 +176,27 @@ type permanentError struct{ err error }
 
 func (e *permanentError) Error() string { return e.err.Error() }
 
-// dispatchCell routes one cell: derive its content address, walk the
-// ring from its owner, and record exactly one result whatever happens.
-func (r *Router) dispatchCell(j *server.Job, cell server.Cell) {
-	defer r.wg.Done()
+// Run routes one cell: derive its content address, walk the ring from
+// its owner, and answer the cell whatever happens.
+func (d *dispatcher) Run(ctx context.Context, j *server.Job, cell server.Cell) server.CellResult {
 	key, ok, err := server.CellKey(cell)
 	if err != nil {
 		// A build failure needs no worker: answer it locally with the
 		// exact error RunCell would produce.
-		r.met.cellsLocal.Add(1)
-		r.record(j, server.CellResult{Cell: cell, Error: err.Error()})
-		return
+		d.met.cellsLocal.Add(1)
+		return server.CellResult{Cell: cell, Error: err.Error()}
 	}
 	if !ok {
 		// "No Baseline" region: the architecture cannot operate at this
 		// size. A well-formed Valid=false answer, no simulation, no key.
-		r.met.cellsLocal.Add(1)
-		r.record(j, server.CellResult{Cell: cell})
-		return
+		d.met.cellsLocal.Add(1)
+		return server.CellResult{Cell: cell}
 	}
 
-	order := r.ring.Successors(key)
+	order := d.ring.Successors(key)
 	candidates := make([]string, 0, len(order))
 	for _, w := range order {
-		if r.pool.Healthy(w) {
+		if d.pool.Healthy(w) {
 			candidates = append(candidates, w)
 		}
 	}
@@ -271,63 +205,58 @@ func (r *Router) dispatchCell(j *server.Job, cell server.Cell) {
 	}
 	var lastErr error
 	for wi, w := range candidates {
-		if err := j.Context().Err(); err != nil {
-			r.met.cellsFailed.Add(1)
-			r.record(j, server.CellResult{Cell: cell, Error: fmt.Sprintf("cell not started: %v", err)})
-			return
+		if err := ctx.Err(); err != nil {
+			return server.CellResult{Cell: cell, Error: fmt.Sprintf("cell not started: %v", err)}
 		}
 		if wi > 0 {
-			r.met.failovers.Add(1)
+			d.met.failovers.Add(1)
 		}
-		res, err := r.tryWorker(j, w, cell)
+		res, err := d.tryWorker(ctx, j, w, cell)
 		if err == nil {
 			if w != order[0] {
-				r.met.remapped.Add(1)
+				d.met.remapped.Add(1)
 			}
-			r.met.cellsRouted.Add(1)
-			r.met.perWorker[r.pool.index[w]].Add(1)
-			r.record(j, res)
-			return
+			d.met.cellsRouted.Add(1)
+			d.met.perWorker[d.pool.index[w]].Add(1)
+			return res
 		}
 		var perm *permanentError
 		if errors.As(err, &perm) {
-			r.met.cellsFailed.Add(1)
-			r.record(j, server.CellResult{Cell: cell, Error: err.Error()})
-			return
+			return server.CellResult{Cell: cell, Error: err.Error()}
 		}
-		if !errors.Is(err, errWorkerBusy) {
-			r.pool.MarkDown(w)
+		// A busy worker is healthy, just full. An attempt cut short by the
+		// job's deadline (or a forced drain) says nothing about the worker
+		// either: marking it down would remap its whole ring arc cold for
+		// every tenant because one client's budget ran out.
+		if !errors.Is(err, errWorkerBusy) && ctx.Err() == nil {
+			d.pool.MarkDown(w)
 		}
 		lastErr = err
 	}
-	r.met.cellsFailed.Add(1)
-	r.record(j, server.CellResult{Cell: cell, Error: fmt.Sprintf("cell undeliverable: every worker failed, last: %v", lastErr)})
+	return server.CellResult{Cell: cell, Error: fmt.Sprintf("cell undeliverable: every worker failed, last: %v", lastErr)}
 }
 
 // tryWorker runs the per-worker retry loop: up to RetryAttempts
 // dispatches with exponential backoff, under the worker's in-flight
 // slot. A draining worker short-circuits to failover.
-func (r *Router) tryWorker(j *server.Job, worker string, cell server.Cell) (server.CellResult, error) {
-	ctx := j.Context()
-	if err := r.pool.Acquire(ctx, worker); err != nil {
-		return server.CellResult{}, err // job deadline: dispatchCell answers it
+func (d *dispatcher) tryWorker(ctx context.Context, j *server.Job, worker string, cell server.Cell) (server.CellResult, error) {
+	if err := d.pool.Acquire(ctx, worker); err != nil {
+		return server.CellResult{}, err // job deadline: Run answers it
 	}
-	defer r.pool.Release(worker)
-	r.met.cellsInflight.Add(1)
-	defer r.met.cellsInflight.Add(-1)
+	defer d.pool.Release(worker)
 
 	var lastErr error
-	for attempt := 0; attempt < r.opts.RetryAttempts; attempt++ {
+	for attempt := 0; attempt < d.opts.RetryAttempts; attempt++ {
 		if attempt > 0 {
-			r.met.retries.Add(1)
-			if !sleepCtx(ctx, r.opts.RetryBase<<(attempt-1)) {
+			d.met.retries.Add(1)
+			if !sleepCtx(ctx, d.opts.RetryBase<<(attempt-1)) {
 				return server.CellResult{}, ctx.Err()
 			}
 		}
 		start := time.Now()
-		res, err := r.dispatchOnce(ctx, worker, j, cell)
+		res, err := d.dispatchOnce(ctx, worker, j, cell)
 		if err == nil {
-			r.met.latDispatch.Observe(uint64(time.Since(start).Microseconds()))
+			d.met.latDispatch.Observe(uint64(time.Since(start).Microseconds()))
 			return res, nil
 		}
 		lastErr = err
@@ -356,7 +285,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // its one-line NDJSON result stream. The returned result carries the
 // original cell coordinates, so the merged client stream is
 // byte-identical per cell to a single daemon's.
-func (r *Router) dispatchOnce(ctx context.Context, worker string, j *server.Job, cell server.Cell) (server.CellResult, error) {
+func (d *dispatcher) dispatchOnce(ctx context.Context, worker string, j *server.Job, cell server.Cell) (server.CellResult, error) {
 	var zero server.CellResult
 	wreq := server.SweepRequest{
 		Tenant:     j.Tenant,
@@ -385,7 +314,7 @@ func (r *Router) dispatchOnce(ctx context.Context, worker string, j *server.Job,
 		return zero, &permanentError{err}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.opts.Client.Do(req)
+	resp, err := d.opts.Client.Do(req)
 	if err != nil {
 		return zero, fmt.Errorf("submitting to %s: %w", worker, err)
 	}
@@ -415,7 +344,7 @@ func (r *Router) dispatchOnce(ctx context.Context, worker string, j *server.Job,
 	if err != nil {
 		return zero, &permanentError{err}
 	}
-	rresp, err := r.opts.Client.Do(rreq)
+	rresp, err := d.opts.Client.Do(rreq)
 	if err != nil {
 		return zero, fmt.Errorf("streaming from %s: %w", worker, err)
 	}
@@ -450,68 +379,29 @@ func readError(resp *http.Response) string {
 	return "unknown error"
 }
 
-// MetricSamples implements server.Backend: every worker's registry
-// (scraped concurrently from /metrics.json) merged by metrics.Merge,
-// plus the router's own server.shard.* series. One scrape of the router
+// MetricSamples completes the router's engine series (server.shard.*)
+// with its own and with every worker's registry (scraped concurrently
+// from /metrics.json), merged by metrics.Merge. One scrape of the router
 // answers for the fleet — fleet-wide misses == simulations is readable
 // from this one endpoint.
-func (r *Router) MetricSamples() []metrics.Sample {
-	ctx, cancel := context.WithTimeout(context.Background(), r.opts.ScrapeTimeout)
+func (d *dispatcher) MetricSamples(engine []metrics.Sample) []metrics.Sample {
+	ctx, cancel := context.WithTimeout(context.Background(), d.opts.ScrapeTimeout)
 	defer cancel()
-	sets := make([][]metrics.Sample, len(r.opts.Workers)+1)
+	sets := make([][]metrics.Sample, len(d.opts.Workers)+1)
 	var wg sync.WaitGroup
-	for i, w := range r.opts.Workers {
+	for i, w := range d.opts.Workers {
 		wg.Add(1)
 		go func(i int, w string) {
 			defer wg.Done()
-			s, err := scrapeWorker(ctx, r.opts.Client, w)
+			s, err := scrapeWorker(ctx, d.opts.Client, w)
 			if err != nil {
-				r.met.scrapeErrors.Add(1)
+				d.met.scrapeErrors.Add(1)
 				return
 			}
 			sets[i] = s
 		}(i, w)
 	}
 	wg.Wait()
-	sets[len(sets)-1] = r.met.ownSamples(r.opts.Workers, r.pool.HealthyCount())
+	sets[len(sets)-1] = append(engine, d.met.ownSamples(d.opts.Workers, d.pool.HealthyCount())...)
 	return metrics.Merge(sets...)
-}
-
-// ObserveLatency implements server.Backend; router handler latencies
-// land under server.shard.latency.* so they never merge-sum with the
-// aggregated worker server.latency.* series.
-func (r *Router) ObserveLatency(route string, us uint64) {
-	switch route {
-	case server.RouteSubmit:
-		r.met.latSubmit.Observe(us)
-	case server.RouteStatus:
-		r.met.latStatus.Observe(us)
-	case server.RouteResults:
-		r.met.latResults.Observe(us)
-	}
-}
-
-// Drain performs graceful shutdown: stop admission (readyz turns 503),
-// let in-flight cells finish, and if ctx expires first cancel every job
-// context so dispatchers record errors and exit. Every admitted cell is
-// answered either way. Returns nil on a clean drain, ctx.Err() when
-// work was abandoned.
-func (r *Router) Drain(ctx context.Context) error {
-	r.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		r.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-		r.cancelBase()
-	case <-ctx.Done():
-		r.cancelBase() // abandon in-flight dispatches; they record errors
-		<-done
-		err = ctx.Err()
-	}
-	r.pool.Close()
-	return err
 }

@@ -5,14 +5,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"vca/internal/metrics"
 	"vca/internal/server"
 	"vca/internal/simcache"
 )
@@ -180,18 +183,18 @@ func TestRouterByteIdentity(t *testing.T) {
 	}
 
 	// The invalid cell never left the router; the rest dispatched.
-	if local := r.met.cellsLocal.Load(); local != 1 {
+	if local := r.d.met.cellsLocal.Load(); local != 1 {
 		t.Errorf("cells_local = %d, want 1 (baseline@64)", local)
 	}
-	if routed := r.met.cellsRouted.Load(); routed != uint64(len(cells)-1) {
+	if routed := r.d.met.cellsRouted.Load(); routed != uint64(len(cells)-1) {
 		t.Errorf("cells_routed = %d, want %d", routed, len(cells)-1)
 	}
 	var perWorker uint64
-	for i := range r.met.perWorker {
-		perWorker += r.met.perWorker[i].Load()
+	for i := range r.d.met.perWorker {
+		perWorker += r.d.met.perWorker[i].Load()
 	}
-	if perWorker != r.met.cellsRouted.Load() {
-		t.Errorf("per-worker routed sum %d != cells_routed %d", perWorker, r.met.cellsRouted.Load())
+	if perWorker != r.d.met.cellsRouted.Load() {
+		t.Errorf("per-worker routed sum %d != cells_routed %d", perWorker, r.d.met.cellsRouted.Load())
 	}
 
 	// Status through the router agrees.
@@ -213,9 +216,9 @@ func TestRouterByteIdentity(t *testing.T) {
 // aggregated /metrics as misses == distinct cells, with the router's
 // own server.shard.* counters alongside.
 func TestRouterFleetDedup(t *testing.T) {
-	_, w1 := newWorker(t)
-	_, w2 := newWorker(t)
-	_, rts := newTestRouter(t, Options{Workers: []string{w1.URL, w2.URL}, HealthInterval: -1})
+	s1, w1 := newWorker(t)
+	s2, w2 := newWorker(t)
+	r, rts := newTestRouter(t, Options{Workers: []string{w1.URL, w2.URL}, HealthInterval: -1})
 
 	req := server.SweepRequest{
 		Tenant:     "tenant-a",
@@ -283,6 +286,127 @@ func TestRouterFleetDedup(t *testing.T) {
 	if routed, _ := promValue(t, text, "vca_server_shard_cells_routed_total"); routed != 4 {
 		t.Errorf("router cells_routed = %d, want 4", routed)
 	}
+
+	// Conservation on the router's own series: every admitted cell was
+	// answered once, by a worker or locally, and none is still running.
+	got := sampleValues(r.MetricSamples())
+	if sub, done := got["server.shard.cells_submitted"], got["server.shard.cells_done"]; sub != 4 || done != sub {
+		t.Errorf("router cells_submitted = %d, cells_done = %d, want 4 and 4", sub, done)
+	}
+	if running := got["server.shard.cells_running"]; running != 0 {
+		t.Errorf("router cells_running = %d after every stream ended, want 0", running)
+	}
+	routed := got["server.shard.cells_routed"]
+	if sum := got["server.shard.routed.w0"] + got["server.shard.routed.w1"]; sum != routed {
+		t.Errorf("routed.w0 + routed.w1 = %d, want cells_routed %d", sum, routed)
+	}
+	if local := got["server.shard.cells_local"]; routed+local != got["server.shard.cells_done"] {
+		t.Errorf("cells_routed %d + cells_local %d != cells_done %d", routed, local, got["server.shard.cells_done"])
+	}
+	// The router's server.* series are its workers' summed and nothing
+	// more: the engine's own series stay under server.shard.*.
+	fleet := sampleValues(s1.MetricSamples())["server.jobs_submitted"] + sampleValues(s2.MetricSamples())["server.jobs_submitted"]
+	if got["server.jobs_submitted"] != fleet || fleet != 4 {
+		t.Errorf("router server.jobs_submitted = %d, workers' sum = %d, want both 4", got["server.jobs_submitted"], fleet)
+	}
+}
+
+// sampleValues maps each series of a sample set to its value.
+func sampleValues(samples []metrics.Sample) map[string]uint64 {
+	out := make(map[string]uint64, len(samples))
+	for _, s := range samples {
+		out[s.Name] = s.Value
+	}
+	return out
+}
+
+// TestRouterDeadlineKeepsWorkerHealthy: a dispatch cut short by the
+// job's own deadline is the client's budget running out, not a worker
+// failure. The worker must stay healthy — marking it down would remap
+// its ring arc cache-cold for every tenant, and with probing off
+// nothing would ever bring it back.
+func TestRouterDeadlineKeepsWorkerHealthy(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // a request whose body is read sees its client go
+		arrived <- struct{}{}
+		<-r.Context().Done() // holds the cell until the router gives up
+	})
+	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("[]"))
+	})
+	slow := httptest.NewServer(mux)
+	t.Cleanup(slow.Close)
+	r, _ := newTestRouter(t, Options{Workers: []string{slow.URL}, HealthInterval: -1})
+
+	cell := server.Cell{Arch: "baseline", Benchmarks: "crafty", PhysRegs: 256, DL1Ports: 2, StopAfter: 2000}
+	if _, ok, err := server.CellKey(cell); err != nil || !ok { // builds the program outside the deadline
+		t.Fatalf("CellKey: ok=%v err=%v", ok, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
+	defer cancel()
+	res := r.d.Run(ctx, &server.Job{Tenant: "short"}, cell)
+	if len(arrived) != 1 {
+		t.Fatal("the cell never reached the worker")
+	}
+	if !strings.Contains(res.Error, context.DeadlineExceeded.Error()) {
+		t.Errorf("result error = %q, want the job deadline", res.Error)
+	}
+	if h := sampleValues(r.MetricSamples())["server.shard.workers_healthy"]; h != 1 {
+		t.Errorf("server.shard.workers_healthy = %d after a job deadline, want 1", h)
+	}
+}
+
+// TestRouterDispatchesByPriority: the router queues like a worker. With
+// one dispatch slot held by a batch cell, an interactive sweep submitted
+// afterwards dispatches before the batch sweep's remaining cell.
+func TestRouterDispatchesByPriority(t *testing.T) {
+	arrived := make(chan server.SweepRequest, 4)
+	release := make(chan struct{})
+	var held atomic.Bool
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		var req server.SweepRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		arrived <- req
+		if !held.Swap(true) {
+			select { // hold the first request until the test releases it
+			case <-release:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(map[string]string{"id": "sw-000001", "results_url": "/v1/sweeps/sw-000001/results"})
+	})
+	mux.HandleFunc("GET /v1/sweeps/{id}/results", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"index":0,"arch":"baseline","benchmarks":"crafty","phys_regs":1,"dl1_ports":2,"valid":true}` + "\n"))
+	})
+	fake := httptest.NewServer(mux)
+	t.Cleanup(fake.Close)
+	_, rts := newTestRouter(t, Options{Workers: []string{fake.URL}, Inflight: 1, HealthInterval: -1})
+
+	sweep := func(tenant, prio string, regs ...int) server.SweepRequest {
+		return server.SweepRequest{Tenant: tenant, Priority: prio, Benchmarks: []string{"crafty"},
+			Archs: []string{"baseline"}, PhysRegs: regs, StopAfter: 2000}
+	}
+	submitSweep(t, rts.URL, sweep("bulk", "batch", 192, 256))
+	if first := <-arrived; first.Priority != "batch" || first.PhysRegs[0] != 192 {
+		t.Fatalf("first dispatch = %+v, want the batch sweep's cell 0", first)
+	}
+	submitSweep(t, rts.URL, sweep("human", "interactive", 224))
+	close(release)
+	if next := <-arrived; next.Priority != "interactive" || next.PhysRegs[0] != 224 {
+		t.Fatalf("next dispatch = %+v, want the interactive sweep's cell", next)
+	}
+	if last := <-arrived; last.Priority != "batch" || last.PhysRegs[0] != 256 {
+		t.Fatalf("last dispatch = %+v, want the batch sweep's cell 1", last)
+	}
 }
 
 // TestRouterFailover pins the retry/failover path deterministically: a
@@ -332,7 +456,7 @@ func TestRouterFailover(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("CellKey(%+v): ok=%v err=%v", cell, ok, err)
 		}
-		if r.ring.Owner(key) == strings.TrimRight(flaky.URL, "/") {
+		if r.d.ring.Owner(key) == strings.TrimRight(flaky.URL, "/") {
 			found = true
 			break
 		}
@@ -355,16 +479,16 @@ func TestRouterFailover(t *testing.T) {
 		t.Fatalf("failover result: %+v", res[0])
 	}
 
-	if got := r.met.retries.Load(); got == 0 {
+	if got := r.d.met.retries.Load(); got == 0 {
 		t.Error("retries = 0, want backoff re-attempts against the flaky worker")
 	}
-	if got := r.met.failovers.Load(); got != 1 {
+	if got := r.d.met.failovers.Load(); got != 1 {
 		t.Errorf("failovers = %d, want 1", got)
 	}
-	if got := r.met.remapped.Load(); got != 1 {
+	if got := r.d.met.remapped.Load(); got != 1 {
 		t.Errorf("remapped = %d, want 1 (cell served off its primary shard)", got)
 	}
-	if r.pool.Healthy(strings.TrimRight(flaky.URL, "/")) {
+	if r.d.pool.Healthy(strings.TrimRight(flaky.URL, "/")) {
 		t.Error("flaky worker still marked healthy after transport failures")
 	}
 }

@@ -5,14 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
-	"vca/internal/metrics"
 	"vca/internal/simcache"
 )
 
@@ -88,15 +86,23 @@ func FuzzStreamLine(f *testing.F) {
 	})
 }
 
-// holdBackend is a Backend serving one job whose results the test
-// appends by hand.
-type holdBackend struct{ job *Job }
+// holdExecutor answers cell 0 at once and holds cell 1 until release
+// closes (or its job ends).
+type holdExecutor struct {
+	local
+	results []CellResult
+	release chan struct{}
+}
 
-func (b *holdBackend) Submit(SweepRequest) (*Job, error) { return nil, errors.New("not accepting") }
-func (b *holdBackend) Job(id string) (*Job, bool)        { return b.job, id == b.job.ID }
-func (b *holdBackend) Draining() bool                    { return false }
-func (b *holdBackend) MetricSamples() []metrics.Sample   { return nil }
-func (b *holdBackend) ObserveLatency(string, uint64)     {}
+func (h *holdExecutor) Run(ctx context.Context, _ *Job, c Cell) CellResult {
+	if c.Index == 1 {
+		select {
+		case <-h.release:
+		case <-ctx.Done():
+		}
+	}
+	return h.results[c.Index]
+}
 
 // TestStreamFlushesBeforeWaiting: the results stream may hold written
 // lines back only while more results are ready. With result 1 held
@@ -104,31 +110,45 @@ func (b *holdBackend) ObserveLatency(string, uint64)     {}
 // stream that flushed only at the end of the job would never deliver
 // it, and the read would time out.
 func TestStreamFlushesBeforeWaiting(t *testing.T) {
-	cells := []Cell{{Index: 0, Arch: "baseline", Benchmarks: "crafty"}, {Index: 1, Arch: "vca-flat", Benchmarks: "mesa"}}
-	job := NewJob("sw-hold", SweepRequest{}, PriorityNormal, cells, context.Background(), time.Minute)
-	b := &holdBackend{job: job}
-	ts := httptest.NewServer(NewHandler(b, HandlerOptions{}))
-	defer ts.Close()
-
-	results := []CellResult{
-		{Cell: cells[0], Valid: true, Cycles: 10, Counters: map[string]uint64{"a": 1}, countersJSON: []byte(`{"a":1}`)},
-		{Cell: cells[1], Error: "held back"},
-	}
-	job.AppendResult(results[0])
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/sweeps/sw-hold/results", nil)
+	req := SweepRequest{Benchmarks: []string{"crafty"}, Archs: []string{"baseline", "vca-flat"}, PhysRegs: []int{256}}
+	cells, err := ExpandCells(&req, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	hold := &holdExecutor{
+		results: []CellResult{
+			{Cell: cells[0], Valid: true, Cycles: 10, Counters: map[string]uint64{"a": 1}, countersJSON: []byte(`{"a":1}`)},
+			{Cell: cells[1], Error: "held back"},
+		},
+		release: make(chan struct{}),
+	}
+	// One worker: cell 0 is answered before cell 1 is popped and held.
+	s := NewWithExecutor(Options{Workers: 1}, "server", hold)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		abandon, cancel := context.WithCancel(context.Background())
+		cancel() // a cell still held on failure is abandoned
+		s.Drain(abandon)
+	})
+
+	job, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/sweeps/"+job.ID+"/results", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	br := bufio.NewReader(resp.Body)
-	for i, r := range results {
+	for i, r := range hold.results {
 		line, err := br.ReadBytes('\n')
 		if err != nil {
 			t.Fatalf("reading line %d: %v", i, err)
@@ -138,9 +158,9 @@ func TestStreamFlushesBeforeWaiting(t *testing.T) {
 		}
 		if i == 0 {
 			if job.Ready(1) {
-				t.Fatal("result 1 landed before the test appended it")
+				t.Fatal("result 1 landed before the test released it")
 			}
-			job.AppendResult(results[1])
+			close(hold.release)
 		}
 	}
 	if rest, err := br.ReadBytes('\n'); len(rest) != 0 || err == nil {

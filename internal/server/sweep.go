@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -136,7 +137,12 @@ func ExpandCells(req *SweepRequest, maxCells int) ([]Cell, error) {
 			return nil, fmt.Errorf("dl1_ports must be positive, got %d", p)
 		}
 	}
-	n := len(req.Archs) * len(req.PhysRegs) * len(ports) * len(req.Benchmarks)
+	// A 1 MiB body holds axes long enough for the plain product to
+	// overflow int (and pass the limit check negative); it saturates.
+	n := 1
+	for _, k := range [...]int{len(req.Archs), len(req.PhysRegs), len(ports), len(req.Benchmarks)} {
+		n = min(n, math.MaxInt/k) * k
+	}
 	if maxCells > 0 && n > maxCells {
 		return nil, fmt.Errorf("sweep expands to %d cells, above the per-sweep limit %d", n, maxCells)
 	}
@@ -166,8 +172,8 @@ func ExpandCells(req *SweepRequest, maxCells int) ([]Cell, error) {
 // memory; SMT runs already share one Program across threads), so every
 // cell of a sweep — and every sweep of a daemon's lifetime — can share
 // one build per (ABI, name). The shard router leans on this hardest:
-// it derives a routing key for every cell at admission time, which
-// without the memo would recompile the workload per cell.
+// it derives a routing key for every cell it dispatches, which without
+// the memo would recompile the workload per cell.
 var progMemo sync.Map // "abi|name" -> *program.Program
 
 func buildProgram(abi minic.ABI, name string) (*program.Program, error) {
@@ -215,7 +221,7 @@ func buildCell(c Cell) (cfg core.Config, progs []*program.Program, windowed bool
 
 // CellKey returns the simcache content address the cell's simulation
 // will be stored under — the key RunCell derives on the worker. The
-// shard router computes it before admission and feeds it to the
+// shard router computes it before dispatch and feeds it to the
 // consistent-hash ring, so identical cells from any tenant land on the
 // worker whose cache (and in-flight singleflight table) already covers
 // them. ok=false is the "No Baseline" region: the cell never simulates,
@@ -266,7 +272,8 @@ func RunCell(cache *simcache.Cache, c Cell) CellResult {
 // would queue, dispatched through the standard simcache.Runner. The
 // service's streamed results are byte-identical (per cell, as JSON) to
 // this function's output over the same cache — the end-to-end identity
-// the httptest suite and `make serve-smoke` assert.
+// the httptest suite and `make serve-smoke` assert (the latter through
+// a real daemon and, in turn, a shard router in front of two workers).
 func RunCells(cache *simcache.Cache, jobs int, cells []Cell) ([]CellResult, error) {
 	out := make([]CellResult, len(cells))
 	r := simcache.Runner{Jobs: jobs, KeepGoing: true}

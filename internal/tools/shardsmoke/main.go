@@ -1,21 +1,26 @@
-// Command shardsmoke is the CI gate for the sharded sweep fabric
-// (`make shard-smoke`): it builds vcaserved once, starts two real
-// worker processes plus a router process in front of them (and one
-// plain single daemon as the identity reference), drives the fleet
-// over HTTP, and asserts the acceptance properties end to end:
+// Command shardsmoke is the CI smoke gate for the sweep service in
+// both of its topologies (`make serve-smoke`): it builds vcaserved
+// once, starts one plain single daemon, two worker processes and a
+// router process in front of them, drives them over HTTP, and asserts
+// the acceptance properties end to end:
 //
-//  1. The router serves the worker API unchanged: /healthz, /readyz,
-//     and a sweep whose merged NDJSON stream is byte-identical, cell
-//     for cell, to the single daemon's stream for the same request.
-//  2. Cache affinity: a second tenant's identical sweep adds ZERO
+//  1. The single daemon serves the API: /healthz and /readyz answer,
+//     a sweep streams NDJSON results byte-identical, cell for cell, to
+//     the same cells run in-process (server.RunCells) over a separate
+//     cache, /metrics serves the series the runbook alerts on, and
+//     SIGTERM drains it cleanly (exit 0).
+//  2. The router serves the same API unchanged: /healthz, /readyz, and
+//     a merged NDJSON stream byte-identical, cell for cell, to the
+//     single daemon's stream for the same request.
+//  3. Cache affinity: a second tenant's identical sweep adds ZERO
 //     fleet-wide cache misses, and the router's aggregated /metrics
 //     proves the fleet invariant misses == simulations == distinct
 //     cells — each distinct cell simulated exactly once across all
 //     workers, no matter how many tenants asked.
-//  3. Failover: SIGKILL one worker mid-sweep; every admitted cell is
+//  4. Failover: SIGKILL one worker mid-sweep; every admitted cell is
 //     still answered exactly once (no loss, no duplicates, no errors)
 //     through re-dispatch to the ring successor.
-//  4. SIGTERM drains the router and surviving worker cleanly (exit 0).
+//  5. SIGTERM drains the router and surviving worker cleanly (exit 0).
 //
 // With -bench the tool instead measures sharded throughput honestly
 // (1-worker vs 2-worker wall time on distinct cells, plus the
@@ -46,6 +51,7 @@ import (
 
 	"vca/internal/server"
 	"vca/internal/server/shard"
+	"vca/internal/simcache"
 )
 
 var flagBench = flag.Bool("bench", false, "measure 1-worker vs 2-worker sharded throughput and print JSON instead of running the gate")
@@ -149,15 +155,17 @@ func runGate(tmp, bin string) error {
 	fmt.Printf("shardsmoke: fleet up — workers %s %s, router %s, reference %s\n",
 		w1.base, w2.base, router.base, single.base)
 
-	for _, p := range []string{"/healthz", "/readyz"} {
-		if err := expectStatus(router.base+p, http.StatusOK); err != nil {
-			return err
+	for _, base := range []string{single.base, router.base} {
+		for _, p := range []string{"/healthz", "/readyz"} {
+			if err := expectStatus(base+p, http.StatusOK); err != nil {
+				return err
+			}
 		}
 	}
 
-	// Property 1: merged-stream byte identity against the single daemon.
-	// The sweep includes two "No Baseline" cells (baseline@64) that the
-	// router answers locally — they must match the daemon's too.
+	// Property 1: the single daemon against the in-process path. The
+	// sweep includes two "No Baseline" cells (baseline@64), which the
+	// router will answer locally — they must match everywhere too.
 	req := server.SweepRequest{
 		Tenant:     "tenant-a",
 		Benchmarks: []string{"crafty", "twolf"},
@@ -165,40 +173,71 @@ func runGate(tmp, bin string) error {
 		PhysRegs:   []int{64, 256},
 		StopAfter:  3000,
 	}
-	viaRouter, err := streamSweep(router.base, req, nil)
+	cells, err := server.ExpandCells(&req, 0)
 	if err != nil {
-		return fmt.Errorf("sweep via router: %w", err)
+		return err
+	}
+	directCache, err := simcache.Open(filepath.Join(tmp, "cache-direct"))
+	if err != nil {
+		return err
+	}
+	direct, err := server.RunCells(directCache, 2, cells)
+	if err != nil {
+		return err
 	}
 	viaSingle, err := streamSweep(single.base, req, nil)
 	if err != nil {
 		return fmt.Errorf("sweep via single daemon: %w", err)
 	}
-	if len(viaRouter) != len(viaSingle) {
-		return fmt.Errorf("router streamed %d cells, single daemon %d", len(viaRouter), len(viaSingle))
+	if err := sameCells("single daemon", viaSingle, "in-process run", direct); err != nil {
+		return err
 	}
-	byIndex := func(a, b server.CellResult) int { return cmp.Compare(a.Index, b.Index) }
-	slices.SortFunc(viaRouter, byIndex)
-	slices.SortFunc(viaSingle, byIndex)
-	for i := range viaSingle {
-		want, _ := json.Marshal(&viaSingle[i])
-		got, _ := json.Marshal(&viaRouter[i])
-		if !bytes.Equal(want, got) {
-			return fmt.Errorf("cell %d not byte-identical across topologies:\n router: %s\n single: %s", i, got, want)
+	fmt.Printf("shardsmoke: %d single-daemon cells byte-identical to server.RunCells\n", len(direct))
+
+	text, err := get(single.base + "/metrics")
+	if err != nil {
+		return err
+	}
+	for _, want := range []struct {
+		series string
+		value  uint64
+	}{
+		{"vca_server_jobs_done_total", 1},
+		{"vca_server_cells_done_total", uint64(len(cells))},
+		{"vca_server_queue_depth", 0},
+	} {
+		if v, ok := promValue(text, want.series); !ok || v != want.value {
+			return fmt.Errorf("single daemon /metrics: %s = %d (present %v), want %d", want.series, v, ok, want.value)
 		}
-		if viaSingle[i].Error != "" {
-			return fmt.Errorf("cell %d failed: %s", i, viaSingle[i].Error)
+	}
+	for _, series := range []string{"vca_simcache_misses_total", "vca_simcache_sf_hits_total", "vca_server_latency_cell_us_count"} {
+		if _, ok := promValue(text, series); !ok {
+			return fmt.Errorf("single daemon /metrics lacks %s", series)
 		}
+	}
+	if err := single.stop(); err != nil {
+		return err
+	}
+	fmt.Println("shardsmoke: single daemon serves the runbook's /metrics series and drained cleanly")
+
+	// Property 2: merged-stream byte identity against the single daemon.
+	viaRouter, err := streamSweep(router.base, req, nil)
+	if err != nil {
+		return fmt.Errorf("sweep via router: %w", err)
+	}
+	if err := sameCells("router", viaRouter, "single daemon", viaSingle); err != nil {
+		return err
 	}
 	fmt.Printf("shardsmoke: %d merged-stream cells byte-identical to the single daemon\n", len(viaRouter))
 
-	// Property 2: cache affinity. A different tenant submits the same
+	// Property 3: cache affinity. A different tenant submits the same
 	// sweep; every cell must hit the cache of the worker that owns it.
 	req2 := req
 	req2.Tenant = "tenant-b"
 	if _, err := streamSweep(router.base, req2, nil); err != nil {
 		return fmt.Errorf("second tenant sweep: %w", err)
 	}
-	text, err := get(router.base + "/metrics")
+	text, err = get(router.base + "/metrics")
 	if err != nil {
 		return err
 	}
@@ -226,7 +265,7 @@ func runGate(tmp, bin string) error {
 	}
 	fmt.Printf("shardsmoke: fleet invariant holds — 6 misses == 6 simulations for 2 tenants x 6 distinct cells (shards w0=%d w1=%d)\n", w1Routed, w2Routed)
 
-	// Property 3: SIGKILL failover. Eight distinct ~1M-instruction cells
+	// Property 4: SIGKILL failover. Eight distinct ~1M-instruction cells
 	// keep the fleet busy for seconds; the victim is whichever worker
 	// owns more of them (computed with the same ring the router uses),
 	// killed the moment the first result lands.
@@ -237,7 +276,7 @@ func runGate(tmp, bin string) error {
 		PhysRegs:   []int{96, 128, 160, 192, 224, 256, 288, 320},
 		StopAfter:  1000000,
 	}
-	cells, err := server.ExpandCells(&killReq, 0)
+	cells, err = server.ExpandCells(&killReq, 0)
 	if err != nil {
 		return err
 	}
@@ -295,15 +334,37 @@ func runGate(tmp, bin string) error {
 	}
 	fmt.Printf("shardsmoke: SIGKILL failover — every cell answered exactly once (failovers=%d remapped=%d)\n", failovers, remapped)
 
-	// Property 4: graceful shutdown of the survivors.
+	// Property 5: graceful shutdown of the survivors.
 	if err := router.stop(); err != nil {
 		return err
 	}
 	if err := survivor.stop(); err != nil {
 		return err
 	}
-	single.stop()
 	fmt.Println("shardsmoke: router and surviving worker drained cleanly")
+	return nil
+}
+
+// sameCells requires two result sets for the same sweep to be
+// byte-identical cell for cell (as JSON, in index order) and free of
+// errors. It sorts both in place.
+func sameCells(gotName string, got []server.CellResult, wantName string, want []server.CellResult) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s answered %d cells, %s %d", gotName, len(got), wantName, len(want))
+	}
+	byIndex := func(a, b server.CellResult) int { return cmp.Compare(a.Index, b.Index) }
+	slices.SortFunc(got, byIndex)
+	slices.SortFunc(want, byIndex)
+	for i := range want {
+		w, _ := json.Marshal(&want[i])
+		g, _ := json.Marshal(&got[i])
+		if !bytes.Equal(w, g) {
+			return fmt.Errorf("cell %d not byte-identical:\n %s: %s\n %s: %s", i, gotName, g, wantName, w)
+		}
+		if want[i].Error != "" {
+			return fmt.Errorf("cell %d failed: %s", i, want[i].Error)
+		}
+	}
 	return nil
 }
 
