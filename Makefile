@@ -17,10 +17,11 @@ test:
 test-race:
 	$(GO) test -race -timeout 30m ./...
 
-# Short-budget native fuzzing over the seven fuzz targets (assembler,
+# Short-budget native fuzzing over the nine fuzz targets (assembler,
 # mini-C compiler, whole-stack lockstep, checkpoint decoder, result-cache
 # entry decoding beside a legacy index.json, results-stream line
-# encoding against encoding/json, sweep-request admission). Each target gets a small time budget on top
+# encoding against encoding/json, sweep-request admission, the router's
+# reader of a worker's result line, fleet metric merging). Each target gets a small time budget on top
 # of replaying its committed corpus; failures minimize into testdata/fuzz/
 # automatically. Cache entries are kilobytes and every execution writes
 # two files, so minimizing each new interesting entry under the default
@@ -34,6 +35,8 @@ fuzz-smoke:
 	$(GO) test ./internal/simcache -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzStreamLine$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzWorkerResult$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzMetricsMerge$$' -fuzztime $(FUZZTIME)
 
 # Fixed-seed config-space lockstep sweep (see docs/VERIFICATION.md).
 sweep:

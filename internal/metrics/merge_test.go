@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -102,4 +105,97 @@ func TestMergeDeterministic(t *testing.T) {
 			t.Fatalf("merge order changed aggregates: %+v vs %+v", ab, ba)
 		}
 	}
+}
+
+// FuzzMetricsMerge drives Merge the way the shard router's /metrics
+// does: a worker's /metrics.json body decoded as scrapeWorker decodes
+// it, merged with a real registry's snapshot. Whatever the bytes, Merge
+// must not panic, its output must be sorted by name with every input
+// name exactly once, a counter's or gauge's value must be the sum of
+// that name's inputs of its kind, and a histogram's or occupancy's
+// count, sum and bucket counts must be conserved.
+func FuzzMetricsMerge(f *testing.F) {
+	reg := NewRegistry()
+	reg.Counter("server.cells_done", "events", "cells answered").Add(12)
+	h := reg.Histogram("server.latency.cell_us", "us", "cell latency")
+	for _, v := range []uint64{0, 3, 900, 70000, 1 << 62} {
+		h.Observe(v)
+	}
+	reg.Occupancy("core.rob_occ", "entries", "rob occupancy").ObserveN(31, 4)
+	own := reg.Snapshot()
+	worker, err := json.Marshal(own)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range []string{
+		string(worker),
+		`[{"name":"server.queue_depth","kind":"gauge","unit":"events","value":5},{"name":"server.queue_depth","kind":"gauge","value":2},{"name":"server.cells_done","kind":"counter","value":18446744073709551615}]`,
+		`[{"name":"server.cells_done","kind":"histogram","count":2,"buckets":[{"lo":8,"hi":16,"count":2}]}]`,
+		`[{"name":"server.latency.cell_us","kind":"histogram","count":3,"sum":7,"buckets":[{"lo":64,"hi":0,"count":1},{"lo":0,"hi":1,"count":1},{"lo":0,"hi":1,"count":1}]}]`,
+		`[{"name":"a","kind":"counter","value":1},{"name":"a","kind":"counter","value":2},{"name":"a","kind":"gauge","value":4},{"name":"","kind":"weird","value":3}]`,
+		`[]`, `null`, `[{}]`, `{"name":"x"}`, `[{"name":"x","kind":"counter","value":-1}]`, ``,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var samples []Sample
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&samples); err != nil {
+			return
+		}
+		out := Merge(samples, own)
+
+		// What each name must merge to: the kind of its first sample, and
+		// the sums over that name's samples of that kind.
+		type sums struct {
+			kind              string
+			value, count, sum uint64
+			buckets           uint64
+		}
+		want := map[string]*sums{}
+		for _, set := range [][]Sample{samples, own} {
+			for _, s := range set {
+				w, ok := want[s.Name]
+				if !ok {
+					w = &sums{kind: s.Kind}
+					want[s.Name] = w
+				}
+				if s.Kind != w.kind {
+					continue
+				}
+				w.value += s.Value
+				w.count += s.Count
+				w.sum += s.Sum
+				for _, b := range s.Buckets {
+					w.buckets += b.Count
+				}
+			}
+		}
+		if len(out) != len(want) {
+			t.Fatalf("%d merged samples for %d distinct names", len(out), len(want))
+		}
+		for i, m := range out {
+			if i > 0 && strings.Compare(out[i-1].Name, m.Name) >= 0 {
+				t.Fatalf("output not sorted by unique name: %q then %q", out[i-1].Name, m.Name)
+			}
+			w, ok := want[m.Name]
+			if !ok || m.Kind != w.kind {
+				t.Fatalf("merged %q as %q, want an input name of kind %q", m.Name, m.Kind, w.kind)
+			}
+			switch m.Kind {
+			case "counter", "gauge":
+				if m.Value != w.value {
+					t.Fatalf("%s %q = %d, inputs sum to %d", m.Kind, m.Name, m.Value, w.value)
+				}
+			case "histogram", "occupancy":
+				var buckets uint64
+				for _, b := range m.Buckets {
+					buckets += b.Count
+				}
+				if m.Count != w.count || m.Sum != w.sum || buckets != w.buckets {
+					t.Fatalf("%s %q: count/sum/buckets %d/%d/%d, inputs %d/%d/%d",
+						m.Kind, m.Name, m.Count, m.Sum, buckets, w.count, w.sum, w.buckets)
+				}
+			}
+		}
+	})
 }

@@ -112,19 +112,27 @@ type Executor interface {
 	MetricSamples(engine []metrics.Sample) []metrics.Sample
 }
 
-// local is the worker role's Executor: it simulates each cell against
-// the shared result store (RunCell). A cell that outlives its job's
-// deadline is reported failed while its simulation goroutine drains on
-// its own, bounded by Config.MaxCycles — the same abandonment
-// discipline as simcache.Runner timeouts.
+// local is the worker role's Executor: it answers each cell against
+// the shared result store, as RunCell does. A cell that needs no
+// simulation and no wait — a hit in the store's view, a No Baseline
+// cell, a build error — is answered on the calling worker goroutine.
+// A cell the store must answer runs on a goroutine of its own: if it
+// outlives its job's deadline it is reported failed while that
+// goroutine drains on its own, bounded by Config.MaxCycles — the same
+// abandonment discipline as simcache.Runner timeouts.
 type local struct{ cache *simcache.Cache }
 
 func (l local) Run(ctx context.Context, _ *Job, c Cell) CellResult {
+	out, b, done := replayCell(l.cache, c)
+	if done {
+		return out
+	}
 	start := time.Now()
-	done := make(chan CellResult, 1)
-	go func() { done <- RunCell(l.cache, c) }()
+	stored := make(chan CellResult, 1)
+	// out goes by copy, so a view hit's out never escapes to the heap.
+	go func(out CellResult) { stored <- storeCell(l.cache, out, b) }(out)
 	select {
-	case res := <-done:
+	case res := <-stored:
 		return res
 	case <-ctx.Done():
 		return CellResult{Cell: c, Error: fmt.Sprintf("cell abandoned after %v: %v", time.Since(start).Round(time.Millisecond), ctx.Err())}

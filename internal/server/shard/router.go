@@ -211,7 +211,7 @@ func (d *dispatcher) Run(ctx context.Context, j *server.Job, cell server.Cell) s
 		if wi > 0 {
 			d.met.failovers.Add(1)
 		}
-		res, err := d.tryWorker(ctx, j, w, cell)
+		res, err := d.tryWorker(ctx, j, w, cell, key)
 		if err == nil {
 			if w != order[0] {
 				d.met.remapped.Add(1)
@@ -239,7 +239,7 @@ func (d *dispatcher) Run(ctx context.Context, j *server.Job, cell server.Cell) s
 // tryWorker runs the per-worker retry loop: up to RetryAttempts
 // dispatches with exponential backoff, under the worker's in-flight
 // slot. A draining worker short-circuits to failover.
-func (d *dispatcher) tryWorker(ctx context.Context, j *server.Job, worker string, cell server.Cell) (server.CellResult, error) {
+func (d *dispatcher) tryWorker(ctx context.Context, j *server.Job, worker string, cell server.Cell, key string) (server.CellResult, error) {
 	if err := d.pool.Acquire(ctx, worker); err != nil {
 		return server.CellResult{}, err // job deadline: Run answers it
 	}
@@ -254,7 +254,7 @@ func (d *dispatcher) tryWorker(ctx context.Context, j *server.Job, worker string
 			}
 		}
 		start := time.Now()
-		res, err := d.dispatchOnce(ctx, worker, j, cell)
+		res, err := d.dispatchOnce(ctx, worker, j, cell, key)
 		if err == nil {
 			d.met.latDispatch.Observe(uint64(time.Since(start).Microseconds()))
 			return res, nil
@@ -284,8 +284,10 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // dispatch is indistinguishable from a tiny client sweep), then read
 // its one-line NDJSON result stream. The returned result carries the
 // original cell coordinates, so the merged client stream is
-// byte-identical per cell to a single daemon's.
-func (d *dispatcher) dispatchOnce(ctx context.Context, worker string, j *server.Job, cell server.Cell) (server.CellResult, error) {
+// byte-identical per cell to a single daemon's. A result stored under
+// another key than the cell was routed by (key) is a final error: the
+// worker runs another simulator version.
+func (d *dispatcher) dispatchOnce(ctx context.Context, worker string, j *server.Job, cell server.Cell, key string) (server.CellResult, error) {
 	var zero server.CellResult
 	wreq := server.SweepRequest{
 		Tenant:     j.Tenant,
@@ -352,8 +354,11 @@ func (d *dispatcher) dispatchOnce(ctx context.Context, worker string, j *server.
 	if rresp.StatusCode != http.StatusOK {
 		return zero, fmt.Errorf("worker %s results stream: status %d", worker, rresp.StatusCode)
 	}
-	var res server.CellResult
-	if err := json.NewDecoder(rresp.Body).Decode(&res); err != nil {
+	res, err := server.DecodeResult(rresp.Body, key)
+	if errors.Is(err, server.ErrKeyMismatch) {
+		return zero, &permanentError{fmt.Errorf("worker %s: %w", worker, err)}
+	}
+	if err != nil {
 		// Stream cut before the result landed: the worker died mid-cell.
 		// Retryable — re-simulation elsewhere is safe, results append to
 		// the job only here, after a complete line.

@@ -493,6 +493,44 @@ func TestRouterFailover(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesForeignKey: a worker that answers a cell with a
+// valid result stored under another content address — one running a
+// simulator whose keys differ from the router's — gets a final error
+// for that cell, not a retry, a failover or a mark-down, and its result
+// is never streamed as the cell's answer.
+func TestRouterRefusesForeignKey(t *testing.T) {
+	var posts atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(map[string]string{"id": "sw-000001", "results_url": "/v1/sweeps/sw-000001/results"})
+	})
+	mux.HandleFunc("GET /v1/sweeps/{id}/results", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"index":0,"arch":"baseline","benchmarks":"crafty","phys_regs":256,"dl1_ports":2,"stop_after":2000,"valid":true,"cycles":9,"cache_key":"0123"}` + "\n"))
+	})
+	skewed := httptest.NewServer(mux)
+	t.Cleanup(skewed.Close)
+	r, _ := newTestRouter(t, Options{Workers: []string{skewed.URL}, HealthInterval: -1})
+
+	cell := server.Cell{Arch: "baseline", Benchmarks: "crafty", PhysRegs: 256, DL1Ports: 2, StopAfter: 2000}
+	res := r.d.Run(context.Background(), &server.Job{Tenant: "t"}, cell)
+	if res.Valid || !strings.Contains(res.Error, server.ErrKeyMismatch.Error()) || !strings.Contains(res.Error, `"0123"`) {
+		t.Fatalf("result = %+v, want the key-mismatch error", res)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Errorf("%d dispatches, want 1: a foreign key is a final answer", n)
+	}
+	if got := r.d.met.retries.Load() + r.d.met.failovers.Load(); got != 0 {
+		t.Errorf("retries + failovers = %d, want 0", got)
+	}
+	if !r.d.pool.Healthy(strings.TrimRight(skewed.URL, "/")) {
+		t.Error("worker marked down for a final answer")
+	}
+}
+
 // TestRouterValidationAndDrain: the router rejects what a worker would
 // reject (same API, same errors), and drains like one (readyz 503,
 // submissions 503, admitted work still answered).

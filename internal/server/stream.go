@@ -3,6 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 )
 
 // lineEncoder renders CellResults as results-stream lines. A line is
@@ -60,4 +63,29 @@ func (le *lineEncoder) encodeValue(v any) error {
 	}
 	le.buf.Truncate(le.buf.Len() - 1)
 	return nil
+}
+
+// ErrKeyMismatch reports a result answered under another content
+// address than the one its cell was routed by: the worker derives keys
+// differently (a different simulator version), so its result is not
+// this cell's.
+var ErrKeyMismatch = errors.New("result cache_key differs from the routed key")
+
+// maxResultLine bounds the bytes DecodeResult reads. A line carries one
+// cell's full counter map, tens of kilobytes.
+const maxResultLine = 4 << 20
+
+// DecodeResult reads the first results-stream line from r, at most
+// maxResultLine bytes of it. key is the content address the reader
+// routed the cell by (CellKey); a Valid result stored under any other
+// key is refused with ErrKeyMismatch.
+func DecodeResult(r io.Reader, key string) (CellResult, error) {
+	var res CellResult
+	if err := json.NewDecoder(io.LimitReader(r, maxResultLine)).Decode(&res); err != nil {
+		return CellResult{}, err
+	}
+	if res.Valid && res.CacheKey != key {
+		return CellResult{}, fmt.Errorf("%w: answered %q, routed by %q", ErrKeyMismatch, res.CacheKey, key)
+	}
+	return res, nil
 }

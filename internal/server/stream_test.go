@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -203,4 +204,68 @@ func BenchmarkStreamLine(b *testing.B) {
 			}
 		})
 	}
+}
+
+// FuzzWorkerResult drives DecodeResult, the router's reader of a
+// worker's one-line results stream, over any bytes and any routed key.
+// It must never panic and never accept a Valid result stored under
+// another key; a result it accepts must re-encode through the results
+// stream's lineEncoder to a line that decodes back to the same result.
+func FuzzWorkerResult(f *testing.F) {
+	cache, err := simcache.Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	cell := Cell{Index: 3, Arch: "vca-windowed", Benchmarks: "crafty,mesa", PhysRegs: 192, DL1Ports: 2, StopAfter: 1000}
+	real := RunCell(cache, cell)
+	if !real.Valid {
+		f.Fatalf("seed cell: %+v", real)
+	}
+	line := ndjsonLine(f, real)
+	for _, s := range []struct{ line, key string }{
+		{string(line), real.CacheKey},
+		{string(line), "another simulator's key"},
+		{string(line[:len(line)/2]), real.CacheKey},
+		{`{"index":4,"arch":"conv-windowed","benchmarks":"crafty","phys_regs":64,"dl1_ports":2,"valid":false}`, ""},
+		{`{"index":0,"arch":"baseline","benchmarks":"doom","phys_regs":256,"dl1_ports":2,"valid":false,"error":"unknown benchmark"}`, "k"},
+		{`{"valid":true,"cache_key":"k","counters":{},"outputs":[],"ipc":-0}`, "k"},
+		{`{"valid":true,"cache_key":"k","outputs":["\ud800 <&>","\xff"],"counters":{"a":1,"a":2}}{"valid":true}`, "k"},
+		{`{"valid":true}`, ""},
+		{`{"ipc":1e400}`, ""},
+		{`null`, ""}, {`[]`, ""}, {``, ""}, {`{`, ""},
+	} {
+		f.Add([]byte(s.line), s.key)
+	}
+	// normal forms an empty map or slice as the absent one, which is
+	// what encoding/json's omitempty makes of both.
+	normal := func(r CellResult) CellResult {
+		if len(r.Outputs) == 0 {
+			r.Outputs = nil
+		}
+		if len(r.Counters) == 0 {
+			r.Counters = nil
+		}
+		return r
+	}
+	le := newLineEncoder()
+	f.Fuzz(func(t *testing.T, line []byte, key string) {
+		res, err := DecodeResult(bytes.NewReader(line), key)
+		if err != nil {
+			return
+		}
+		if res.Valid && res.CacheKey != key {
+			t.Fatalf("accepted a valid result under key %q routed by %q", res.CacheKey, key)
+		}
+		enc, err := le.line(&res)
+		if err != nil {
+			t.Fatalf("accepted result %+v does not encode: %v", res, err)
+		}
+		back, err := DecodeResult(bytes.NewReader(enc), key)
+		if err != nil {
+			t.Fatalf("re-encoded line %s does not decode: %v", enc, err)
+		}
+		if !reflect.DeepEqual(normal(back), normal(res)) {
+			t.Fatalf("round trip changed the result\naccepted: %+v\nback:     %+v", res, back)
+		}
+	})
 }

@@ -171,14 +171,17 @@ func ExpandCells(req *SweepRequest, maxCells int) ([]Cell, error) {
 // read-only to the simulator (core.New copies the image into machine
 // memory; SMT runs already share one Program across threads), so every
 // cell of a sweep — and every sweep of a daemon's lifetime — can share
-// one build per (ABI, name). The shard router leans on this hardest:
-// it derives a routing key for every cell it dispatches, which without
-// the memo would recompile the workload per cell.
-var progMemo sync.Map // "abi|name" -> *program.Program
+// one build per (ABI, name).
+var progMemo sync.Map // progID -> *program.Program
+
+type progID struct {
+	abi  minic.ABI
+	name string
+}
 
 func buildProgram(abi minic.ABI, name string) (*program.Program, error) {
-	memoKey := fmt.Sprintf("%d|%s", abi, name)
-	if p, ok := progMemo.Load(memoKey); ok {
+	id := progID{abi, name}
+	if p, ok := progMemo.Load(id); ok {
 		return p.(*program.Program), nil
 	}
 	b, err := workload.ByName(name)
@@ -189,34 +192,98 @@ func buildProgram(abi minic.ABI, name string) (*program.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	progMemo.Store(memoKey, p)
-	return p, nil
+	shared, _ := progMemo.LoadOrStore(id, p)
+	return shared.(*program.Program), nil
 }
 
-// buildCell resolves a cell to a runnable (config, programs, windowed)
-// triple. ok=false means the architecture cannot operate at this size —
-// the caller reports an invalid (but successful) cell.
-func buildCell(c Cell) (cfg core.Config, progs []*program.Program, windowed bool, ok bool, err error) {
+// build is a cell resolved to what the simulator runs.
+type build struct {
+	cfg      core.Config
+	progs    []*program.Program
+	windowed bool
+}
+
+// buildCell resolves a cell to its build. ok=false means the
+// architecture cannot operate at this size — the caller reports an
+// invalid (but successful) cell.
+func buildCell(c Cell) (b *build, ok bool, err error) {
 	arch, known := archByName[c.Arch]
 	if !known {
-		return core.Config{}, nil, false, false, fmt.Errorf("unknown arch %q", c.Arch)
+		return nil, false, fmt.Errorf("unknown arch %q", c.Arch)
 	}
 	names := strings.Split(c.Benchmarks, ",")
-	cfg, ok = arch.Config(len(names), c.PhysRegs, c.DL1Ports)
+	cfg, ok := arch.Config(len(names), c.PhysRegs, c.DL1Ports)
 	if !ok {
-		return core.Config{}, nil, false, false, nil
+		return nil, false, nil
 	}
 	abi := arch.ABI()
+	b = &build{windowed: abi == minic.ABIWindowed}
 	for _, name := range names {
 		p, err := buildProgram(abi, strings.TrimSpace(name))
 		if err != nil {
-			return core.Config{}, nil, false, false, err
+			return nil, false, err
 		}
-		progs = append(progs, p)
+		b.progs = append(b.progs, p)
 	}
 	cfg.StopAfter = c.StopAfter
 	cfg.MaxCycles = 1 << 34
-	return cfg, progs, abi == minic.ABIWindowed, true, nil
+	b.cfg = cfg
+	return b, true, nil
+}
+
+// cellID is everything a cell's content address depends on: the cell
+// without its Index. TestCellIDCoversCell fails if Cell gains a field
+// cellID does not carry.
+type cellID struct {
+	Arch       string
+	Benchmarks string
+	PhysRegs   int
+	DL1Ports   int
+	StopAfter  uint64
+}
+
+// keyMemo remembers each distinct cell's content address ("" for a No
+// Baseline cell, which has none), so a repeat
+// cell costs a map lookup instead of a config build, a fingerprint and
+// a hash. Memoizing is sound within a process: the config and the
+// programs are pure functions of the cell (arch.Config, and progMemo's
+// deterministic builds), and the key is a pure function of them. Build
+// errors are not remembered. The memo holds at most keyMemoMax cells
+// and is emptied wholesale when full; a forgotten cell is derived
+// again.
+var keyMemo struct {
+	mu sync.RWMutex
+	m  map[cellID]string
+}
+
+const keyMemoMax = 4096
+
+// cellKey returns the cell's content address from keyMemo. When the
+// memo does not hold the cell it builds it, and returns that build so
+// a caller about to simulate need not build again (b is nil on a memo
+// hit, and for a No Baseline cell).
+func cellKey(c Cell) (key string, b *build, err error) {
+	id := cellID{c.Arch, c.Benchmarks, c.PhysRegs, c.DL1Ports, c.StopAfter}
+	keyMemo.mu.RLock()
+	key, hit := keyMemo.m[id]
+	keyMemo.mu.RUnlock()
+	if hit {
+		return key, nil, nil
+	}
+	b, ok, err := buildCell(c)
+	if err != nil {
+		return "", nil, err
+	}
+	if ok {
+		key = simcache.Key(b.cfg, b.progs, b.windowed)
+	}
+	keyMemo.mu.Lock()
+	if keyMemo.m == nil || len(keyMemo.m) >= keyMemoMax {
+		keyMemo.m = make(map[cellID]string)
+	}
+	keyMemo.m[id] = key
+	keyMemo.mu.Unlock()
+	return key, b, nil
 }
 
 // CellKey returns the simcache content address the cell's simulation
@@ -225,13 +292,11 @@ func buildCell(c Cell) (cfg core.Config, progs []*program.Program, windowed bool
 // consistent-hash ring, so identical cells from any tenant land on the
 // worker whose cache (and in-flight singleflight table) already covers
 // them. ok=false is the "No Baseline" region: the cell never simulates,
-// so it has no content address and needs no worker.
+// so it has no content address and needs no worker. Repeat cells are
+// answered from a bounded in-process memo (keyMemo).
 func CellKey(c Cell) (key string, ok bool, err error) {
-	cfg, progs, windowed, ok, err := buildCell(c)
-	if err != nil || !ok {
-		return "", ok, err
-	}
-	return simcache.Key(cfg, progs, windowed), true, nil
+	key, _, err = cellKey(c)
+	return key, key != "", err
 }
 
 // RunCell executes one cell against the shared store with singleflight
@@ -239,33 +304,69 @@ func CellKey(c Cell) (key string, ok bool, err error) {
 // land in CellResult.Error (the cell is answered, the job continues) —
 // the same discipline simcache.Runner applies to failing jobs.
 func RunCell(cache *simcache.Cache, c Cell) CellResult {
-	out := CellResult{Cell: c}
-	cfg, progs, windowed, ok, err := buildCell(c)
-	if err != nil {
-		out.Error = err.Error()
+	out, b, done := replayCell(cache, c)
+	if done {
 		return out
 	}
-	if !ok {
-		return out // Valid stays false: a "No Baseline" region
-	}
-	key := simcache.Key(cfg, progs, windowed)
-	e, _, err := cache.RunMachineShared(key, cfg, progs, windowed)
+	return storeCell(cache, out, b)
+}
+
+// replayCell answers c when that needs no build, simulation or wait:
+// from its memoized content address, then from the result store's
+// verified view (simcache.Cache.Cached). done=false means the store
+// must answer the cell: out then carries the cell and its CacheKey, and
+// b the build that derived the key, if deriving it needed one.
+func replayCell(cache *simcache.Cache, c Cell) (out CellResult, b *build, done bool) {
+	out.Cell = c
+	key, b, err := cellKey(c)
 	if err != nil {
 		out.Error = err.Error()
-		return out
+		return out, nil, true
 	}
+	if key == "" {
+		return out, nil, true // Valid stays false: a "No Baseline" region
+	}
+	out.CacheKey = key
+	if e, ok := cache.Cached(key); ok {
+		out.answer(e)
+		return out, nil, true
+	}
+	return out, b, false
+}
+
+// storeCell answers a cell replayCell could not, through
+// RunMachineShared: it reads the entry file, or simulates once across
+// concurrent callers. It builds the cell unless b already holds its
+// build.
+func storeCell(cache *simcache.Cache, out CellResult, b *build) CellResult {
+	if b == nil {
+		var err error
+		if b, _, err = buildCell(out.Cell); err != nil {
+			return CellResult{Cell: out.Cell, Error: err.Error()}
+		}
+	}
+	e, _, err := cache.RunMachineShared(out.CacheKey, b.cfg, b.progs, b.windowed)
+	if err != nil {
+		return CellResult{Cell: out.Cell, Error: err.Error()}
+	}
+	out.answer(e)
+	return out
+}
+
+// answer fills in the wire form of the cell's stored or simulated
+// entry.
+func (out *CellResult) answer(e *simcache.Entry) {
 	res := e.Result
 	out.Valid = true
 	out.Cycles = res.Cycles
 	out.IPC = res.IPC()
-	out.CacheKey = key
 	out.Counters = e.Counters
 	out.countersJSON = e.CountersJSON()
+	out.Outputs = make([]string, 0, len(res.Threads))
 	for _, t := range res.Threads {
 		out.Committed += t.Committed
 		out.Outputs = append(out.Outputs, t.Output)
 	}
-	return out
 }
 
 // RunCells is the direct, in-process path: the same cells the service

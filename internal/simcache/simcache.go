@@ -323,6 +323,24 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 	return e, true
 }
 
+// Cached answers key from the in-memory view alone, counting the hit
+// RunMachineShared would have counted. It never reads the disk: false
+// means only that this process has not verified key's entry yet, and
+// the caller goes on to RunMachineShared, which counts the miss (or the
+// hit its disk read finds). A nil cache has no view.
+func (c *Cache) Cached(key string) (*Entry, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.viewMu.Lock()
+	e, ok := c.view[key]
+	c.viewMu.Unlock()
+	if ok {
+		c.hits.Add(1)
+	}
+	return e, ok
+}
+
 // internNames returns a copy of counters whose names are the view's
 // shared copies. Every entry names nearly the same counters, so the
 // view holds each name once rather than once per entry; that saving
