@@ -134,10 +134,12 @@ docs-check:
 	$(GO) run ./internal/tools/linkcheck
 
 # Simulator throughput microbenchmarks (ns/inst, simMIPS, allocs/inst),
-# machine construction (B/op per core.New), result-cache fingerprint, key
-# and hit costs, and one results-stream line (ns/op, allocs/op).
+# the functional engine (fast-forward batches, whole-benchmark profiles
+# per ABI, co-simulation steps), machine construction (B/op per
+# core.New), result-cache fingerprint, key and hit costs, and one
+# results-stream line (ns/op, allocs/op).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkCoreNew|BenchmarkVCAEvictUnderPressure|BenchmarkCosimStep|BenchmarkConfigFingerprint|BenchmarkSimcacheKey|BenchmarkSimcacheHit|BenchmarkSimcachePut|BenchmarkStreamLine' -benchmem . ./internal/server
+	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkCoreNew|BenchmarkVCAEvictUnderPressure|BenchmarkEmuFastRun|BenchmarkEmuProfile|BenchmarkCosimStep|BenchmarkConfigFingerprint|BenchmarkSimcacheKey|BenchmarkSimcacheHit|BenchmarkSimcachePut|BenchmarkStreamLine' -benchmem . ./internal/server
 
 # Throughput smoke gate (wired into `make ci`): BenchmarkSimThroughput at
 # a fixed -benchtime, best-of-3, compared against the committed baseline

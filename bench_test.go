@@ -349,6 +349,41 @@ func BenchmarkEmuFastRun(b *testing.B) {
 	}
 }
 
+// BenchmarkEmuProfile measures the functional engine on the traffic it
+// really carries: every call-frequent benchmark run to completion under
+// one ABI, which is the reference-profiling work (workload.Profile) the
+// register-window sweeps pay in setup. The windowed sub-benchmark is the
+// call-heavy one: every call and return pushes or pops a window frame.
+func BenchmarkEmuProfile(b *testing.B) {
+	for _, abi := range []minic.ABI{minic.ABIFlat, minic.ABIWindowed} {
+		var progs []*program.Program
+		for _, bench := range workload.CallFrequent() {
+			p, err := bench.Build(abi)
+			if err != nil {
+				b.Fatal(err)
+			}
+			progs = append(progs, p)
+		}
+		cfg := emu.Config{Windowed: abi == minic.ABIWindowed, MaxInsts: 1 << 32}
+		b.Run(abi.String(), func(b *testing.B) {
+			var insts uint64
+			for i := 0; i < b.N; i++ {
+				for _, p := range progs {
+					m := emu.New(p, cfg)
+					if reason, err := m.Run(); err != nil || reason != emu.StopExited {
+						b.Fatalf("%s: %v (%v)", p.Name, reason, err)
+					}
+					insts += m.Stats.Insts
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(float64(insts)/sec/1e6, "funcMIPS")
+			}
+		})
+	}
+}
+
 // BenchmarkSimThroughput is the repo's tracked perf headline: simulated
 // MIPS (committed instructions per host second) of the detailed core on
 // the cmd/experiments entry-point configuration, co-simulation on — the

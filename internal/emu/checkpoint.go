@@ -80,9 +80,9 @@ func (m *Machine) Checkpoint() *Checkpoint {
 		Windowed:    m.cfg.Windowed,
 		Insts:       m.Stats.Insts,
 		PC:          m.pc,
-		Globals:     append([]uint64(nil), m.globals[:]...),
+		Globals:     append([]uint64(nil), m.regs[globalCell:zeroCell]...),
 		Windows:     make([][]uint64, m.depth+1),
-		WMasks:      append([]uint32(nil), m.wmask[:m.depth+1]...),
+		WMasks:      make([]uint32, m.depth+1),
 		Exited:      m.exited,
 		ExitCode:    m.exitCode,
 		Stats:       m.Stats,
@@ -90,7 +90,8 @@ func (m *Machine) Checkpoint() *Checkpoint {
 		Pages:       m.mem.Snapshot(),
 	}
 	for d := 0; d <= m.depth; d++ {
-		ck.Windows[d] = append([]uint64(nil), m.windows[d][:]...)
+		f, wmask := m.frameAt(d)
+		ck.Windows[d], ck.WMasks[d] = f[:], wmask
 	}
 	return ck
 }
@@ -139,21 +140,28 @@ func (m *Machine) RestoreCheckpoint(ck *Checkpoint) error {
 		return err
 	}
 	m.pc = ck.PC
-	copy(m.globals[:], ck.Globals)
+	copy(m.regs[globalCell:zeroCell], ck.Globals)
 	m.depth = len(ck.Windows) - 1
-	if cap(m.windows) <= m.depth {
-		m.windows = make([]frame, m.depth+1, m.depth+64)
-		m.wmask = make([]uint32, m.depth+1, m.depth+64)
-	} else {
-		m.windows = m.windows[:m.depth+1]
-		m.wmask = m.wmask[:m.depth+1]
+	if len(m.saved) < m.depth {
+		m.saved = make([]savedFrame, m.depth)
 	}
-	for d := range ck.Windows {
-		copy(m.windows[d][:], ck.Windows[d])
-		m.wmask[d] = ck.WMasks[d]
+	for d, w := range ck.Windows {
+		var f frame
+		copy(f[:], w)
+		var nonzero uint32
+		for s, v := range f {
+			if v != 0 {
+				nonzero |= 1 << s
+			}
+		}
+		wmask, dead := ck.WMasks[d], nonzero&^ck.WMasks[d]
+		if d == m.depth {
+			copy(m.regs[:isa.WindowSlots], f[:])
+			m.wmask, m.dead = wmask, dead
+		} else {
+			m.saved[d] = savedFrame{regs: f, wmask: wmask, dead: dead}
+		}
 	}
-	m.cur = &m.windows[m.depth]
-	m.curMask = &m.wmask[m.depth]
 	m.Stats = ck.Stats
 	m.Output.Reset()
 	m.Output.Write(ck.Output)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vca/internal/asm"
+	"vca/internal/isa"
 	"vca/internal/progen"
 )
 
@@ -102,5 +103,66 @@ func TestCheckpointValidation(t *testing.T) {
 	corrupt := bytes.Replace(buf.Bytes(), []byte(`"pc":`), []byte(`"pc":1`), 1)
 	if _, err := DecodeCheckpoint(bytes.NewReader(corrupt)); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupt image: got %v, want checksum rejection", err)
+	}
+}
+
+// TestRestoreNonzeroDeadSlots restores an image whose window frames hold
+// nonzero values in slots their write masks call dead. The emulator never
+// produces such an image (a pushed frame starts all zero), but a decoded
+// one may carry them, and restoring must then behave exactly as the
+// image says: each value stays readable in its own frame, survives a
+// push and pop over it, and never leaks into a fresh frame; the image
+// itself round-trips through Checkpoint unchanged.
+func TestRestoreNonzeroDeadSlots(t *testing.T) {
+	p := build(t, `
+main:   jsr  f
+        mov  a0, s2        ; main's dead slot s2, injected below
+        syscall 2
+        li   a0, 0
+        syscall 0
+f:      mov  s15, ra       ; the checkpoint is taken after this
+        jsr  g
+        mov  a0, s3        ; f's dead slot s3, injected below
+        syscall 2
+        ret  (s15)
+g:      mov  a0, s3        ; a fresh frame: reads zero
+        syscall 2
+        ret
+`)
+	cfg := Config{Windowed: true}
+	m := New(p, cfg)
+	if _, err := m.FastRun(2); err != nil {
+		t.Fatal(err)
+	}
+	ck := m.Checkpoint()
+	s2, s3 := isa.Reg(2).WindowSlot(), isa.Reg(3).WindowSlot()
+	if len(ck.Windows) != 2 || ck.WMasks[0]&(1<<s2) != 0 || ck.WMasks[1]&(1<<s3) != 0 {
+		t.Fatalf("unexpected image: windows %d, masks %#x", len(ck.Windows), ck.WMasks)
+	}
+	ck.Windows[0][s2], ck.Windows[1][s3] = 77, 55
+	for _, step := range []bool{false, true} {
+		r, err := NewFromCheckpoint(p, cfg, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := r.Checkpoint()
+		a, _ := back.ContentAddress()
+		b, _ := ck.ContentAddress()
+		if a != b {
+			t.Fatalf("restored image re-captures as %.12s, want %.12s", a, b)
+		}
+		if step {
+			var info StepInfo
+			for ex := false; !ex; ex, _ = r.Exited() {
+				if err := r.StepInto(&info); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Output.String(); got != "05577" {
+			t.Errorf("StepInto=%v: output %q, want %q", step, got, "05577")
+		}
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"vca/internal/isa"
 	"vca/internal/mem"
@@ -98,6 +99,23 @@ type Stats struct {
 // frame is one register-window frame of functional state.
 type frame [isa.WindowSlots]uint64
 
+// The register file's cells, as Machine.regs lays them out: the current
+// window frame, then the globals, then a zero cell that reads of the
+// zero registers and RegNone hit, and a sink that writes to them land
+// in. Every operand is one index into regs, with no branch.
+const (
+	globalCell = isa.WindowSlots                   // globals at [globalCell, zeroCell)
+	zeroCell   = isa.WindowSlots + isa.GlobalSlots // always 0
+	sinkCell   = zeroCell + 1                      // discarded writes
+)
+
+// savedFrame is a caller's window frame while a callee runs. Only the
+// slots in wmask|dead are kept: the others read as zero.
+type savedFrame struct {
+	regs        frame
+	wmask, dead uint32
+}
+
 // Machine is a functional processor state bound to one program.
 type Machine struct {
 	cfg  Config
@@ -106,23 +124,28 @@ type Machine struct {
 	text []isa.Inst
 	fast []fastOp // the micro-op array, index-aligned with text (fast.go)
 
-	pc      uint64
-	globals [isa.GlobalSlots]uint64
-	// Windowed machines keep a logical stack of window frames; flat
-	// machines use windows[0] only. cur caches &windows[depth] (always
-	// &windows[0] when flat) and must be refreshed whenever depth moves
-	// or the windows slice reallocates.
-	windows []frame
-	depth   int // index of current frame
-	cur     *frame
-	// wmask is index-aligned with windows: bit s of wmask[d] is set once
-	// frame d's slot s has been written since the frame was pushed. It
-	// distinguishes live slots from architecturally-dead ones (fresh
-	// frames read as zero here, but a detailed machine may hold stale
-	// junk in never-written slots); checkpoint extraction uses it to
-	// canonicalize dead slots. curMask caches &wmask[depth].
-	wmask   []uint32
-	curMask *uint32
+	pc uint64
+	// regs is the register file (cells laid out as above). It is sized
+	// so that any uint8 cell index is in bounds.
+	regs [256]uint64
+	// wmask has bit s set once slot s of the current frame has been
+	// written since the frame was pushed. It tells live slots from
+	// architecturally dead ones (fresh frames read as zero here, but a
+	// detailed machine may hold stale junk in never-written slots);
+	// checkpoint extraction uses it to canonicalize dead slots. Flat
+	// machines keep it for their only frame.
+	wmask uint32
+	// dead marks current-frame slots outside wmask that hold nonzero
+	// values. Only a restored checkpoint image can hold such slots: a
+	// pushed frame starts all zero.
+	dead uint32
+	// Windowed machines keep the frames of callers in saved[:depth];
+	// entries past depth are storage for deeper calls, never read. A
+	// push moves only the caller's live slots (wmask|dead) out and
+	// zeroes them; a pop zeroes the callee's and moves the caller's
+	// back. Either way nothing else of the 32-slot frame is copied.
+	saved []savedFrame
+	depth int // index of current frame
 
 	Stats    Stats
 	Output   bytes.Buffer
@@ -153,16 +176,12 @@ func New(p *program.Program, cfg Config) *Machine {
 		cfg.MaxInsts = 1 << 40
 	}
 	m := &Machine{
-		cfg:     cfg,
-		prog:    p,
-		mem:     mem.NewMemory(),
-		text:    p.Predecode(),
-		pc:      p.Entry,
-		windows: make([]frame, 1, 64),
-		wmask:   make([]uint32, 1, 64),
+		cfg:  cfg,
+		prog: p,
+		mem:  mem.NewMemory(),
+		text: p.Predecode(),
+		pc:   p.Entry,
 	}
-	m.cur = &m.windows[0]
-	m.curMask = &m.wmask[0]
 	m.buildFast()
 	p.LoadInto(m.mem)
 	m.WriteReg(isa.RegSP, cfg.StackTop)
@@ -176,69 +195,84 @@ func (m *Machine) PC() uint64 { return m.pc }
 // with which status.
 func (m *Machine) Exited() (bool, int64) { return m.exited, m.exitCode }
 
-// regSlot flattens the ReadReg/WriteReg register classification into one
-// table lookup: -1 for zero registers (and RegNone), window-frame slots
-// as [0,WindowSlots), global slots offset by WindowSlots.
-var regSlot = func() (t [256]int8) {
-	for i := range t {
-		t[i] = -1
+// readCell and writeCell map every register id (RegNone and the zero
+// registers included) to its cell in Machine.regs; cellBit maps a cell to
+// its write-mask bit, which is zero outside the window frame.
+var readCell, writeCell, cellBit = func() (rd, wr [256]uint8, bit [256]uint32) {
+	for r := range rd {
+		rd[r], wr[r] = zeroCell, sinkCell
 	}
 	for r := isa.Reg(0); r < isa.NumArchRegs; r++ {
 		switch {
 		case r.IsZero():
 		case r.IsWindowed():
-			t[r] = int8(r.WindowSlot())
+			rd[r], wr[r] = uint8(r.WindowSlot()), uint8(r.WindowSlot())
+			bit[r.WindowSlot()] = 1 << r.WindowSlot()
 		default:
-			t[r] = int8(isa.WindowSlots + r.GlobalSlot())
+			rd[r], wr[r] = uint8(globalCell+r.GlobalSlot()), uint8(globalCell+r.GlobalSlot())
 		}
 	}
 	return
 }()
 
 // ReadReg returns the architectural value of r in the current context.
-func (m *Machine) ReadReg(r isa.Reg) uint64 {
-	s := regSlot[r]
-	if s < 0 {
-		return 0
-	}
-	if s < isa.WindowSlots {
-		return m.cur[s]
-	}
-	return m.globals[s-isa.WindowSlots]
-}
+func (m *Machine) ReadReg(r isa.Reg) uint64 { return m.regs[readCell[r]] }
 
 // WriteReg sets the architectural value of r in the current context.
 // Writes to zero registers are discarded.
 func (m *Machine) WriteReg(r isa.Reg, v uint64) {
-	s := regSlot[r]
-	if s < 0 {
-		return
-	}
-	if s < isa.WindowSlots {
-		m.cur[s] = v
-		*m.curMask |= 1 << uint(s)
-		return
-	}
-	m.globals[s-isa.WindowSlots] = v
+	c := writeCell[r]
+	m.regs[c] = v
+	m.wmask |= cellBit[c]
 }
 
+// pushWindow enters a fresh, all-zero window frame on a windowed machine.
 func (m *Machine) pushWindow() {
 	if !m.cfg.Windowed {
 		return
 	}
-	m.depth++
-	if m.depth == len(m.windows) {
-		m.windows = append(m.windows, frame{})
-		m.wmask = append(m.wmask, 0)
-	} else {
-		m.windows[m.depth] = frame{}
-		m.wmask[m.depth] = 0
+	if m.depth == len(m.saved) {
+		m.saved = append(m.saved, savedFrame{})
 	}
-	m.cur = &m.windows[m.depth]
-	m.curMask = &m.wmask[m.depth]
+	sf := &m.saved[m.depth]
+	sf.wmask, sf.dead = m.wmask, m.dead
+	for b := m.wmask | m.dead; b != 0; b &= b - 1 {
+		s := bits.TrailingZeros32(b)
+		sf.regs[s], m.regs[s] = m.regs[s], 0
+	}
+	m.wmask, m.dead = 0, 0
+	m.depth++
 	if m.depth > m.Stats.MaxCallDepth {
 		m.Stats.MaxCallDepth = m.depth
 	}
+}
+
+// popWindow returns to the caller's frame; the caller checks for
+// underflow (depth 0) and for a flat machine first.
+func (m *Machine) popWindow() {
+	for b := m.wmask | m.dead; b != 0; b &= b - 1 {
+		m.regs[bits.TrailingZeros32(b)] = 0
+	}
+	m.depth--
+	sf := &m.saved[m.depth]
+	m.wmask, m.dead = sf.wmask, sf.dead
+	for b := m.wmask | m.dead; b != 0; b &= b - 1 {
+		s := bits.TrailingZeros32(b)
+		m.regs[s] = sf.regs[s]
+	}
+}
+
+// frameAt returns window frame d (0 <= d <= depth) and its write mask.
+func (m *Machine) frameAt(d int) (f frame, wmask uint32) {
+	if d == m.depth {
+		return frame(m.regs[:isa.WindowSlots]), m.wmask
+	}
+	sf := &m.saved[d]
+	for b := sf.wmask | sf.dead; b != 0; b &= b - 1 {
+		s := bits.TrailingZeros32(b)
+		f[s] = sf.regs[s]
+	}
+	return f, sf.wmask
 }
 
 // Run executes until exit, error, or the instruction budget

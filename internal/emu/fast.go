@@ -1,31 +1,44 @@
 // The predecoded engine: the package's only interpreter. Predecode
 // resolves, once per static instruction, everything a decode-per-step
 // interpreter would re-derive per dynamic instruction: register operands
-// become direct frame/global slot indices (regSlot applied at build
-// time), pc-relative control targets are pre-linked to absolute
-// addresses, the hottest ALU shapes and all six branch conditions get
-// their own dispatch kinds so the common path never calls EvalALU or
-// BranchTaken, and window push/pop is specialized into the call/ret
-// cases.
+// become indices of cells in the one register array (Machine.regs: the
+// current window frame, the globals, a zero cell and a write sink), so a
+// read or a write is one indexed access with no branch; direct control
+// targets are pre-linked to micro-op indices; the hottest ALU shapes and
+// all six branch conditions get their own dispatch kinds so the common
+// path never calls EvalALU or BranchTaken.
 //
 // Two entry points drive the one micro-op array. FastRun is the
 // throughput loop behind Run (profiling, Table 2), fast-forward warmup
-// and region checkpoints: it keeps its statistics in locals and flushes
-// them on exit, so steady-state execution performs no per-instruction
-// allocation at all (enforced by TestFastRunZeroAlloc). StepInto is the
-// co-simulation step the detailed core takes once per committed
-// instruction: it executes straight-line micro-ops itself, reporting
-// what they did in a StepInfo, and hands control transfers, syscalls
-// and faults to FastRun(1). Both are differentially tested against a
-// decode-per-step reference interpreter kept in the tests
-// (oracle_test.go); at every co-simulated commit the detailed core's own
-// isa.Decode/MetaOf execute path is the independent check of the
-// predecoder.
+// and region checkpoints. It steps through the array by index: fall-
+// through is i++, a taken direct branch loads its pre-linked index, and
+// only an indirect target is converted from an address (and checked for
+// alignment). The pc is rebuilt from the index only where something
+// needs it: calls (the return address), syscalls, faults and the exit
+// from the loop. One counter, the executed count, is kept per
+// instruction; the per-class statistics are counted where they occur,
+// and IntOps is derived from the others on exit. The micro-ops that make
+// no call run in an inner loop whose state stays in registers, 8-byte
+// loads and stores included when their word lies in the memory's cached
+// page (mem.Memory.Word); the rest (generic ALU ops, other memory
+// accesses, indirect jumps, calls, returns, syscalls, faults) step out
+// to a slow path. Steady-state execution performs no allocation at all,
+// windowed calls included (enforced by TestFastRunZeroAlloc). StepInto
+// is the co-simulation step the detailed core takes once per committed
+// instruction: it executes ALU, memory and control-transfer micro-ops
+// itself, reporting what they did in a StepInfo, and hands only
+// syscalls and faults to FastRun(1).
+// Both are differentially tested against a decode-per-step reference
+// interpreter kept in the tests (oracle_test.go); at every co-simulated
+// commit the detailed core's own isa.Decode/MetaOf execute path is the
+// independent check of the predecoder.
 
 package emu
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"vca/internal/isa"
 )
@@ -48,9 +61,14 @@ const (
 	fkOr     // specialized: or (and the mov pseudo-op)
 	fkOrImm  // specialized: ori
 	fkSllImm // specialized: slli, shift pre-masked into imm
-	fkALU    // generic integer reg-reg ALU via EvalALU
-	fkALUImm // generic integer reg-imm ALU via EvalALU
+	fkMul    // specialized: mul
+	fkCmpEq  // specialized: cmpeq and cmpeqi
+	fkCmpLt  // specialized: cmplt and cmplti
+	fkALU    // generic integer ALU via EvalALU
 	fkFMov   // specialized: fmov
+	fkFAdd   // specialized: fadd
+	fkFSub   // specialized: fsub
+	fkFMul   // specialized: fmul
 	fkALUFP  // generic floating-point ALU via EvalALU
 	fkLoad   // memory load (size/sign in memBytes/memSigned)
 	fkStore  // memory store
@@ -72,18 +90,20 @@ const (
 	fkLastALU  = fkALUFP
 )
 
-// fastOp is one predecoded micro-op. Operand fields hold resolved regSlot
-// indices (-1 = zero register / absent: reads yield 0, writes discard).
-// imm is overloaded by kind: the ALU immediate operand, the sign-extended
-// memory displacement, the pre-linked absolute control target, or the
-// syscall code. An ALU op's second operand is always rslot(srcB)+imm:
-// register forms carry imm 0 and immediate forms carry srcB -1.
+// fastOp is one predecoded micro-op. Operand fields hold cells of
+// Machine.regs: a source that is a zero register or absent reads the
+// zero cell, and a destination that is one writes the sink. imm is
+// overloaded by kind: the ALU immediate operand, the sign-extended
+// memory displacement, the pre-linked micro-op index of a direct control
+// target, or the syscall code. An ALU op's second operand is always
+// regs[srcB]+imm: register forms carry imm 0 and immediate forms read
+// the zero cell.
 type fastOp struct {
 	imm        uint64
 	op         isa.Op
 	kind       fastKind
-	srcA, srcB int8
-	dest       int8
+	srcA, srcB uint8
+	dest       uint8
 	destReg    isa.Reg // architectural destination, as StepInfo reports it
 	memBytes   uint8
 	memSigned  bool
@@ -94,13 +114,14 @@ type fastOp struct {
 func (m *Machine) buildFast() {
 	meta := m.prog.Meta()
 	ops := make([]fastOp, len(m.text))
+	base := m.prog.TextBase
 	for i := range m.text {
 		inst := m.text[i]
 		mt := &meta[i]
-		pc := m.prog.TextBase + uint64(i)*4
+		pc := base + uint64(i)*4
 		f := &ops[i]
 		f.op = inst.Op
-		f.srcA, f.srcB, f.dest = -1, -1, -1
+		f.srcA, f.srcB, f.dest = zeroCell, zeroCell, sinkCell
 		f.destReg = isa.RegNone
 		if !inst.Op.Valid() {
 			f.kind = fkInvalid
@@ -109,17 +130,23 @@ func (m *Machine) buildFast() {
 		switch mt.Class {
 		case isa.ClassIntALU, isa.ClassIntMul, isa.ClassIntDiv,
 			isa.ClassFPALU, isa.ClassFPMul, isa.ClassFPDiv:
-			f.srcA = regSlot[mt.SrcA]
-			f.dest = regSlot[mt.Dest]
+			f.srcA = readCell[mt.SrcA]
+			f.dest = writeCell[mt.Dest]
 			f.destReg = mt.Dest
 			if mt.HasImm {
 				f.imm = mt.Imm
 			} else {
-				f.srcB = regSlot[mt.SrcB]
+				f.srcB = readCell[mt.SrcB]
 			}
 			switch {
 			case mt.Class > isa.ClassIntDiv && inst.Op == isa.OpFMov:
 				f.kind = fkFMov
+			case mt.Class > isa.ClassIntDiv && inst.Op == isa.OpFAdd:
+				f.kind = fkFAdd
+			case mt.Class > isa.ClassIntDiv && inst.Op == isa.OpFSub:
+				f.kind = fkFSub
+			case mt.Class > isa.ClassIntDiv && inst.Op == isa.OpFMul:
+				f.kind = fkFMul
 			case mt.Class > isa.ClassIntDiv:
 				f.kind = fkALUFP
 			case inst.Op == isa.OpAdd:
@@ -135,28 +162,32 @@ func (m *Machine) buildFast() {
 			case inst.Op == isa.OpSllI:
 				f.kind = fkSllImm
 				f.imm &= 63
-			case mt.HasImm:
-				f.kind = fkALUImm
+			case inst.Op == isa.OpMul:
+				f.kind = fkMul
+			case inst.Op == isa.OpCmpEq || inst.Op == isa.OpCmpEqI:
+				f.kind = fkCmpEq
+			case inst.Op == isa.OpCmpLt || inst.Op == isa.OpCmpLtI:
+				f.kind = fkCmpLt
 			default:
 				f.kind = fkALU
 			}
 		case isa.ClassLoad:
 			f.kind = fkLoad
-			f.srcA = regSlot[mt.SrcA]
-			f.dest = regSlot[mt.Dest]
+			f.srcA = readCell[mt.SrcA]
+			f.dest = writeCell[mt.Dest]
 			f.destReg = mt.Dest
 			f.imm = uint64(int64(inst.Imm))
 			f.memBytes = mt.MemBytes
 			f.memSigned = mt.MemSigned
 		case isa.ClassStore:
 			f.kind = fkStore
-			f.srcA = regSlot[mt.SrcA]
-			f.srcB = regSlot[mt.SrcB]
+			f.srcA = readCell[mt.SrcA]
+			f.srcB = readCell[mt.SrcB]
 			f.imm = uint64(int64(inst.Imm))
 			f.memBytes = mt.MemBytes
 		case isa.ClassBranch:
-			f.srcA = regSlot[mt.SrcA]
-			f.imm, _ = inst.ControlTarget(pc)
+			f.srcA = readCell[mt.SrcA]
+			f.imm = linkTarget(inst, pc, base)
 			switch inst.Op {
 			case isa.OpBeq:
 				f.kind = fkBeq
@@ -176,24 +207,24 @@ func (m *Machine) buildFast() {
 		case isa.ClassJump:
 			if inst.Op == isa.OpJmp {
 				f.kind = fkJump
-				f.imm, _ = inst.ControlTarget(pc)
+				f.imm = linkTarget(inst, pc, base)
 			} else {
 				f.kind = fkJumpInd
-				f.srcA = regSlot[mt.SrcA]
+				f.srcA = readCell[mt.SrcA]
 			}
 		case isa.ClassCall:
 			if inst.Op == isa.OpJsr {
 				f.kind = fkCall
-				f.imm, _ = inst.ControlTarget(pc)
+				f.imm = linkTarget(inst, pc, base)
 			} else {
 				f.kind = fkCallInd
-				f.srcA = regSlot[mt.SrcA]
+				f.srcA = readCell[mt.SrcA]
 			}
-			f.dest = regSlot[isa.RegRA]
+			f.dest = writeCell[isa.RegRA]
 			f.destReg = isa.RegRA
 		case isa.ClassRet:
 			f.kind = fkRet
-			f.srcA = regSlot[mt.SrcA]
+			f.srcA = readCell[mt.SrcA]
 		case isa.ClassSyscall:
 			f.kind = fkSyscall
 			f.imm = uint64(int64(inst.Imm))
@@ -204,28 +235,33 @@ func (m *Machine) buildFast() {
 	m.fast = ops
 }
 
-// rslot reads a resolved register slot (-1 = zero register).
-func (m *Machine) rslot(s int8) uint64 {
-	if s < 0 {
-		return 0
+// truth is a comparison's result as the ISA writes it: 1 or 0.
+func truth(b bool) uint64 {
+	if b {
+		return 1
 	}
-	if s < isa.WindowSlots {
-		return m.cur[s]
-	}
-	return m.globals[s-isa.WindowSlots]
+	return 0
 }
 
-// wslot writes a resolved register slot (-1 discards).
-func (m *Machine) wslot(s int8, v uint64) {
-	if s < 0 {
-		return
+// linkTarget pre-links the direct control transfer inst at pc: it
+// returns the micro-op index of the target. Targets are 4-aligned, so
+// base + index<<2 gives the address back, even outside text.
+func linkTarget(inst isa.Inst, pc, base uint64) uint64 {
+	t, _ := inst.ControlTarget(pc)
+	return (t - base) >> 2
+}
+
+// misaligned is the micro-op index standing for a pc that is not
+// 4-aligned; no aligned address maps to it. The pc itself is kept
+// aside, since the index cannot give it back.
+const misaligned = ^uint64(0)
+
+// index returns the micro-op index of pc, misaligned when pc&3 != 0.
+func index(pc, base uint64) uint64 {
+	if pc&3 != 0 {
+		return misaligned
 	}
-	if s < isa.WindowSlots {
-		m.cur[s] = v
-		*m.curMask |= 1 << uint(s)
-		return
-	}
-	m.globals[s-isa.WindowSlots] = v
+	return (pc - base) >> 2
 }
 
 // FastRun executes up to n instructions and returns how many actually
@@ -241,261 +277,330 @@ func (m *Machine) FastRun(n uint64) (executed uint64, err error) {
 		return 0, fmt.Errorf("emu: program has exited")
 	}
 	var (
-		ops  = m.fast
-		base = m.prog.TextBase
-		pc   = m.pc
-		mmem = m.mem
-
-		insts, intOps, fpOps  uint64
-		loads, stores         uint64
-		condBr, takenBr       uint64
-		calls, rets, syscalls uint64
+		ops   = m.fast
+		regs  = &m.regs
+		mmem  = m.mem
+		st    = &m.Stats
+		start = m.Stats
+		base  = m.prog.TextBase
+		i     = index(m.pc, base) // m.pc holds the pc while i is misaligned
+		// jumps counts unconditional jumps, which have no Stats field.
+		// faulted is 1 when the instruction that faulted still counts in
+		// Stats.Insts (a return, a syscall, an unhandled op).
+		jumps, faulted uint64
 	)
-	// Locals are flushed on every exit path, including errors, so partial
-	// progress is always visible — same as stepping individually.
-	defer func() {
-		m.pc = pc
-		m.Stats.Insts += insts
-		m.Stats.IntOps += intOps
-		m.Stats.FPOps += fpOps
-		m.Stats.Loads += loads
-		m.Stats.Stores += stores
-		m.Stats.CondBranches += condBr
-		m.Stats.TakenCond += takenBr
-		m.Stats.Calls += calls
-		m.Stats.Returns += rets
-		m.Stats.Syscalls += syscalls
-	}()
-
 	for executed < n {
-		idx := (pc - base) >> 2
-		if idx >= uint64(len(ops)) || pc&3 != 0 {
-			return executed, fmt.Errorf("emu: pc %#x outside text (%s)", pc, m.prog.SymbolFor(pc))
-		}
-		f := &ops[idx]
-		switch f.kind {
-		case fkAddImm:
-			m.wslot(f.dest, m.rslot(f.srcA)+f.imm)
-			intOps++
-			pc += 4
-		case fkAdd:
-			m.wslot(f.dest, m.rslot(f.srcA)+m.rslot(f.srcB))
-			intOps++
-			pc += 4
-		case fkSub:
-			m.wslot(f.dest, m.rslot(f.srcA)-m.rslot(f.srcB))
-			intOps++
-			pc += 4
-		case fkOr:
-			m.wslot(f.dest, m.rslot(f.srcA)|m.rslot(f.srcB))
-			intOps++
-			pc += 4
-		case fkOrImm:
-			m.wslot(f.dest, m.rslot(f.srcA)|f.imm)
-			intOps++
-			pc += 4
-		case fkSllImm:
-			m.wslot(f.dest, m.rslot(f.srcA)<<f.imm)
-			intOps++
-			pc += 4
-		case fkALU:
-			m.wslot(f.dest, isa.EvalALU(f.op, m.rslot(f.srcA), m.rslot(f.srcB)))
-			intOps++
-			pc += 4
-		case fkALUImm:
-			m.wslot(f.dest, isa.EvalALU(f.op, m.rslot(f.srcA), f.imm))
-			intOps++
-			pc += 4
-		case fkFMov:
-			m.wslot(f.dest, m.rslot(f.srcA))
-			fpOps++
-			pc += 4
-		case fkALUFP:
-			m.wslot(f.dest, isa.EvalALU(f.op, m.rslot(f.srcA), m.rslot(f.srcB)))
-			fpOps++
-			pc += 4
+		// The inner loop runs the micro-ops that make no call. Values
+		// live across a call are spilled where the call's block is
+		// dominated, so keeping every call out here keeps the loop's
+		// state, the write mask included, in registers.
+		wmask := m.wmask
+	inner:
+		for ; executed < n; executed++ {
+			if i >= uint64(len(ops)) {
+				break
+			}
+			f := &ops[i]
+			d := f.dest
+			switch f.kind {
+			case fkAddImm:
+				regs[d] = regs[f.srcA] + f.imm
+			case fkAdd:
+				regs[d] = regs[f.srcA] + regs[f.srcB]
+			case fkSub:
+				regs[d] = regs[f.srcA] - regs[f.srcB]
+			case fkOr:
+				regs[d] = regs[f.srcA] | regs[f.srcB]
+			case fkOrImm:
+				regs[d] = regs[f.srcA] | f.imm
+			case fkSllImm:
+				regs[d] = regs[f.srcA] << (f.imm & 63)
+			case fkMul:
+				regs[d] = regs[f.srcA] * regs[f.srcB]
+			case fkCmpEq:
+				regs[d] = truth(regs[f.srcA] == regs[f.srcB]+f.imm)
+			case fkCmpLt:
+				regs[d] = truth(int64(regs[f.srcA]) < int64(regs[f.srcB]+f.imm))
+			case fkFMov:
+				regs[d] = regs[f.srcA]
+				st.FPOps++
+			case fkFAdd:
+				regs[d] = math.Float64bits(math.Float64frombits(regs[f.srcA]) + math.Float64frombits(regs[f.srcB]))
+				st.FPOps++
+			case fkFSub:
+				regs[d] = math.Float64bits(math.Float64frombits(regs[f.srcA]) - math.Float64frombits(regs[f.srcB]))
+				st.FPOps++
+			case fkFMul:
+				regs[d] = math.Float64bits(math.Float64frombits(regs[f.srcA]) * math.Float64frombits(regs[f.srcB]))
+				st.FPOps++
+			case fkLoad:
+				w := mmem.Word(regs[f.srcA] + f.imm)
+				if w == nil || f.memBytes != 8 {
+					break inner
+				}
+				regs[d] = binary.LittleEndian.Uint64(w[:])
+				st.Loads++
+			case fkStore:
+				w := mmem.Word(regs[f.srcA] + f.imm)
+				if w == nil || f.memBytes != 8 {
+					break inner
+				}
+				binary.LittleEndian.PutUint64(w[:], regs[f.srcB])
+				st.Stores++
+				i++
+				continue
 
+			case fkBeq:
+				st.CondBranches++
+				if int64(regs[f.srcA]) == 0 {
+					st.TakenCond++
+					i = f.imm
+					continue
+				}
+				i++
+				continue
+			case fkBne:
+				st.CondBranches++
+				if int64(regs[f.srcA]) != 0 {
+					st.TakenCond++
+					i = f.imm
+					continue
+				}
+				i++
+				continue
+			case fkBlt:
+				st.CondBranches++
+				if int64(regs[f.srcA]) < 0 {
+					st.TakenCond++
+					i = f.imm
+					continue
+				}
+				i++
+				continue
+			case fkBle:
+				st.CondBranches++
+				if int64(regs[f.srcA]) <= 0 {
+					st.TakenCond++
+					i = f.imm
+					continue
+				}
+				i++
+				continue
+			case fkBgt:
+				st.CondBranches++
+				if int64(regs[f.srcA]) > 0 {
+					st.TakenCond++
+					i = f.imm
+					continue
+				}
+				i++
+				continue
+			case fkBge:
+				st.CondBranches++
+				if int64(regs[f.srcA]) >= 0 {
+					st.TakenCond++
+					i = f.imm
+					continue
+				}
+				i++
+				continue
+			case fkJump:
+				jumps++
+				i = f.imm
+				continue
+
+			default:
+				break inner
+			}
+			wmask |= cellBit[d]
+			i++
+		}
+		m.wmask = wmask
+		if executed == n {
+			break
+		}
+
+		// One micro-op that calls out, or a fault.
+		if i >= uint64(len(ops)) {
+			if i != misaligned {
+				m.pc = base + i<<2
+			}
+			err = fmt.Errorf("emu: pc %#x outside text (%s)", m.pc, m.prog.SymbolFor(m.pc))
+			break
+		}
+		f := &ops[i]
+		next := i + 1
+		switch f.kind {
+		case fkALU:
+			regs[f.dest] = isa.EvalALU(f.op, regs[f.srcA], regs[f.srcB]+f.imm)
+			m.wmask |= cellBit[f.dest]
+		case fkALUFP:
+			regs[f.dest] = isa.EvalALU(f.op, regs[f.srcA], regs[f.srcB])
+			m.wmask |= cellBit[f.dest]
+			st.FPOps++
 		case fkLoad:
-			raw := mmem.Read(m.rslot(f.srcA)+f.imm, int(f.memBytes))
+			raw := mmem.Read(regs[f.srcA]+f.imm, int(f.memBytes))
 			if f.memSigned {
 				raw = uint64(int64(int32(raw)))
 			}
-			m.wslot(f.dest, raw)
-			loads++
-			pc += 4
+			regs[f.dest] = raw
+			m.wmask |= cellBit[f.dest]
+			st.Loads++
 		case fkStore:
-			mmem.Write(m.rslot(f.srcA)+f.imm, int(f.memBytes), m.rslot(f.srcB))
-			stores++
-			pc += 4
+			mmem.Write(regs[f.srcA]+f.imm, int(f.memBytes), regs[f.srcB])
+			st.Stores++
 
-		case fkBeq:
-			condBr++
-			if int64(m.rslot(f.srcA)) == 0 {
-				takenBr++
-				pc = f.imm
-			} else {
-				pc += 4
-			}
-		case fkBne:
-			condBr++
-			if int64(m.rslot(f.srcA)) != 0 {
-				takenBr++
-				pc = f.imm
-			} else {
-				pc += 4
-			}
-		case fkBlt:
-			condBr++
-			if int64(m.rslot(f.srcA)) < 0 {
-				takenBr++
-				pc = f.imm
-			} else {
-				pc += 4
-			}
-		case fkBle:
-			condBr++
-			if int64(m.rslot(f.srcA)) <= 0 {
-				takenBr++
-				pc = f.imm
-			} else {
-				pc += 4
-			}
-		case fkBgt:
-			condBr++
-			if int64(m.rslot(f.srcA)) > 0 {
-				takenBr++
-				pc = f.imm
-			} else {
-				pc += 4
-			}
-		case fkBge:
-			condBr++
-			if int64(m.rslot(f.srcA)) >= 0 {
-				takenBr++
-				pc = f.imm
-			} else {
-				pc += 4
-			}
-
-		case fkJump:
-			pc = f.imm
 		case fkJumpInd:
-			pc = m.rslot(f.srcA)
-
-		case fkCall:
-			m.wslot(f.dest, pc+4)
+			jumps++
+			m.pc = regs[f.srcA]
+			next = index(m.pc, base)
+		case fkCall, fkCallInd:
+			t := regs[f.srcA] // an indirect target, read before ra is written
+			regs[f.dest] = base + next<<2
+			m.wmask |= cellBit[f.dest]
 			m.pushWindow()
-			calls++
-			pc = f.imm
-		case fkCallInd:
-			t := m.rslot(f.srcA)
-			m.wslot(f.dest, pc+4)
-			m.pushWindow()
-			calls++
-			pc = t
+			st.Calls++
+			if f.kind == fkCall {
+				next = f.imm
+			} else {
+				m.pc, next = t, index(t, base)
+			}
 		case fkRet:
-			t := m.rslot(f.srcA)
+			t := regs[f.srcA]
 			if m.cfg.Windowed {
 				if m.depth == 0 {
-					insts++ // the faulting return is counted
-					return executed, fmt.Errorf("emu: register window underflow at pc %#x", pc)
+					faulted = 1
+					err = fmt.Errorf("emu: register window underflow at pc %#x", base+i<<2)
+					break
 				}
-				m.depth--
-				m.cur = &m.windows[m.depth]
-				m.curMask = &m.wmask[m.depth]
+				m.popWindow()
 			}
-			rets++
-			pc = t
+			st.Returns++
+			m.pc, next = t, index(t, base)
 
 		case fkSyscall:
 			// syscall reads registers and reports errors against m.pc.
-			m.pc = pc
-			if err := m.syscall(int32(f.imm)); err != nil {
-				insts++ // the faulting syscall is counted
-				return executed, err
+			m.pc = base + i<<2
+			if err = m.syscall(int32(f.imm)); err != nil {
+				faulted = 1
+				break
 			}
-			syscalls++
-			insts++
-			executed++
-			pc += 4
-			if m.exited {
-				return executed, nil
-			}
-			continue
+			st.Syscalls++
 
 		case fkInvalid:
-			return executed, fmt.Errorf("emu: invalid instruction at %#x (%s)", pc, m.prog.SymbolFor(pc))
+			pc := base + i<<2
+			err = fmt.Errorf("emu: invalid instruction at %#x (%s)", pc, m.prog.SymbolFor(pc))
 		default: // fkUnhandled
-			insts++
-			return executed, fmt.Errorf("emu: unhandled class for %v at %#x", f.op, pc)
+			faulted = 1
+			err = fmt.Errorf("emu: unhandled class for %v at %#x", f.op, base+i<<2)
 		}
-		insts++
+		if err != nil {
+			break // the faulting instruction is not executed: i and m.pc stay on it
+		}
+		i = next
 		executed++
+		if m.exited {
+			break
+		}
 	}
-	return executed, nil
+	if i != misaligned {
+		m.pc = base + i<<2
+	}
+	// Every executed instruction that is not an integer op counts in
+	// exactly one of these (or in jumps), so IntOps needs no counting.
+	st.IntOps += executed - jumps - (st.FPOps - start.FPOps) - (st.Loads - start.Loads) -
+		(st.Stores - start.Stores) - (st.CondBranches - start.CondBranches) -
+		(st.Calls - start.Calls) - (st.Returns - start.Returns) - (st.Syscalls - start.Syscalls)
+	st.Insts += executed + faulted
+	return executed, err
 }
 
 // StepInto executes one instruction and reports what it did; the
 // detailed core calls it once per committed instruction to co-simulate.
-// ALU, load and store micro-ops run here, straight from the micro-op
-// array; control transfers, syscalls and faults run through FastRun(1)
-// and are read back from the machine state. An error leaves info
-// holding the faulting instruction's pc and word (zeroed when the
-// machine has exited or the pc is outside text).
+// ALU, memory and control-transfer micro-ops run here, straight from the
+// micro-op array; syscalls and faults run through FastRun(1) and are read
+// back from the machine state. An error leaves info holding the faulting
+// instruction's pc and word (zeroed when the machine has exited or the
+// pc is outside text).
 func (m *Machine) StepInto(info *StepInfo) error {
-	pc := m.pc
-	idx := (pc - m.prog.TextBase) >> 2
-	if m.exited || idx >= uint64(len(m.fast)) || pc&3 != 0 {
+	pc, base := m.pc, m.prog.TextBase
+	i := (pc - base) >> 2
+	if m.exited || i >= uint64(len(m.fast)) || pc&3 != 0 {
 		*info = StepInfo{}
 		_, err := m.FastRun(1) // reports the fault
 		return err
 	}
-	f := &m.fast[idx]
+	f := &m.fast[i]
 	// Zero, then fill: a composite literal would be built in a stack
 	// temporary and copied out through a store-forwarding stall.
 	*info = StepInfo{}
-	info.PC, info.Inst, info.Dest, info.NextPC = pc, m.text[idx], isa.RegNone, pc+4
-	switch {
-	case f.kind >= fkFirstALU && f.kind <= fkLastALU:
-		v := isa.EvalALU(f.op, m.rslot(f.srcA), m.rslot(f.srcB)+f.imm)
-		m.wslot(f.dest, v)
+	info.PC, info.Inst, info.Dest, info.NextPC = pc, m.text[i], isa.RegNone, pc+4
+	switch k := f.kind; {
+	case k >= fkFirstALU && k <= fkLastALU:
+		v := isa.EvalALU(f.op, m.regs[f.srcA], m.regs[f.srcB]+f.imm)
+		m.regs[f.dest] = v
+		m.wmask |= cellBit[f.dest]
 		info.Dest, info.DestVal = f.destReg, v
-		if f.kind >= fkFirstFP {
+		if k >= fkFirstFP {
 			m.Stats.FPOps++
 		} else {
 			m.Stats.IntOps++
 		}
-	case f.kind == fkLoad:
-		addr := m.rslot(f.srcA) + f.imm
+	case k == fkLoad:
+		addr := m.regs[f.srcA] + f.imm
 		raw := m.mem.Read(addr, int(f.memBytes))
 		if f.memSigned {
 			raw = uint64(int64(int32(raw)))
 		}
-		m.wslot(f.dest, raw)
+		m.regs[f.dest] = raw
+		m.wmask |= cellBit[f.dest]
 		info.Dest, info.DestVal, info.Addr = f.destReg, raw, addr
 		m.Stats.Loads++
-	case f.kind == fkStore:
-		addr := m.rslot(f.srcA) + f.imm
-		v := m.rslot(f.srcB)
+	case k == fkStore:
+		addr := m.regs[f.srcA] + f.imm
+		v := m.regs[f.srcB]
 		if f.memBytes < 8 {
 			v &= 1<<(8*f.memBytes) - 1 // report the stored (truncated) value
 		}
 		m.mem.Write(addr, int(f.memBytes), v)
 		info.IsStore, info.Addr, info.DestVal = true, addr, v
 		m.Stats.Stores++
-	default:
-		taken := m.Stats.TakenCond
+	case k >= fkBeq && k <= fkBge:
+		m.Stats.CondBranches++
+		if isa.BranchTaken(f.op, m.regs[f.srcA]) {
+			m.Stats.TakenCond++
+			info.Taken, info.NextPC = true, base+f.imm<<2
+		}
+	case k == fkJump:
+		info.Taken, info.NextPC = true, base+f.imm<<2
+	case k == fkJumpInd:
+		info.Taken, info.NextPC = true, m.regs[f.srcA]
+	case k == fkCall || k == fkCallInd:
+		t := base + f.imm<<2
+		if k == fkCallInd {
+			t = m.regs[f.srcA]
+		}
+		m.regs[f.dest] = pc + 4
+		m.wmask |= cellBit[f.dest]
+		m.pushWindow()
+		m.Stats.Calls++
+		info.Dest, info.DestVal = f.destReg, pc+4
+		info.Taken, info.NextPC = true, t
+	case k == fkRet && (!m.cfg.Windowed || m.depth > 0):
+		t := m.regs[f.srcA]
+		if m.cfg.Windowed {
+			m.popWindow()
+		}
+		m.Stats.Returns++
+		info.Taken, info.NextPC = true, t
+	default: // syscalls, window underflow, invalid and unhandled words
 		if _, err := m.FastRun(1); err != nil {
 			return err
 		}
 		info.NextPC = m.pc
-		info.Taken = f.kind >= fkJump && f.kind <= fkRet || m.Stats.TakenCond != taken
-		if f.kind == fkCall || f.kind == fkCallInd {
-			info.Dest, info.DestVal = f.destReg, pc+4
-		}
 		return nil
 	}
 	m.Stats.Insts++
-	m.pc = pc + 4
+	m.pc = info.NextPC
 	return nil
 }

@@ -3,6 +3,8 @@ package emu
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"vca/internal/asm"
@@ -26,15 +28,20 @@ func compareMachines(t testing.TB, tag string, ref, got *Machine, deep bool) {
 	if ref.depth != got.depth {
 		t.Fatalf("%s: depth: oracle %d, engine %d", tag, ref.depth, got.depth)
 	}
-	if ref.globals != got.globals {
+	if !slices.Equal(ref.regs[globalCell:zeroCell], got.regs[globalCell:zeroCell]) {
 		t.Fatalf("%s: globals diverged", tag)
 	}
+	if got.regs[zeroCell] != 0 {
+		t.Fatalf("%s: zero cell holds %#x", tag, got.regs[zeroCell])
+	}
 	for d := 0; d <= ref.depth; d++ {
-		if ref.windows[d] != got.windows[d] {
+		rf, rmask := ref.frameAt(d)
+		gf, gmask := got.frameAt(d)
+		if rf != gf {
 			t.Fatalf("%s: window frame %d diverged", tag, d)
 		}
-		if ref.wmask[d] != got.wmask[d] {
-			t.Fatalf("%s: window write mask %d: oracle %#x, engine %#x", tag, d, ref.wmask[d], got.wmask[d])
+		if rmask != gmask {
+			t.Fatalf("%s: window write mask %d: oracle %#x, engine %#x", tag, d, rmask, gmask)
 		}
 	}
 	if ref.Output.String() != got.Output.String() {
@@ -174,16 +181,96 @@ func TestFastRunBatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestFastRunFaultInBatch puts a fault at instruction k of one
+// FastRun(n > k) batch. The batch must stop exactly where k reference
+// steps and the faulting step stop: the same executed count, error text,
+// pc, statistics and state. Each fault leaves the index-driven loop by a
+// different path, so each rebuilds the pc differently. A batch that ends
+// just before the fault must report no error and leave the same pc, and
+// the next batch must then report the fault having executed nothing.
+func TestFastRunFaultInBatch(t *testing.T) {
+	// loop runs a few iterations first, so the fault lands deep in the
+	// batch, after taken and not-taken branches.
+	const loop = `
+main:   li   t0, 3
+again:  subi t0, t0, 1
+        bgt  t0, again
+`
+	cases := []struct {
+		name, src string
+		windowed  bool
+		patch     int // text index overwritten with an invalid word, or -1
+		want      string
+	}{
+		{"misaligned indirect target", loop + "la t1, main\n addi t1, t1, 2\n jmpr t1", false, -1, "outside text"},
+		{"indirect call below text", loop + "la t1, main\n subi t1, t1, 64\n jsrr t1", false, -1, "outside text"},
+		{"off the end of text", loop + "addi t1, t0, 1", false, -1, "outside text"},
+		{"window underflow", loop + "ret", true, -1, "underflow"},
+		{"bad syscall", loop + "syscall 99", false, -1, "unknown syscall"},
+		{"invalid word", loop + "nop\n nop\n syscall 0", false, 5, "invalid instruction"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := build(t, c.src)
+			if c.patch >= 0 {
+				p.Text[c.patch] = 0
+			}
+			cfg := Config{Windowed: c.windowed}
+			ref := New(p, cfg)
+			var info StepInfo
+			var k uint64
+			var errR error
+			for ; k < 1000; k++ {
+				if errR = ref.oracleStepInto(&info); errR != nil {
+					break
+				}
+			}
+			if errR == nil || !strings.Contains(errR.Error(), c.want) {
+				t.Fatalf("oracle fault %v, want one containing %q", errR, c.want)
+			}
+
+			m := New(p, cfg)
+			ran, err := m.FastRun(k + 10)
+			if ran != k || !sameErr(errR, err) {
+				t.Fatalf("FastRun(%d) = (%d, %v), oracle faulted after %d steps with %v", k+10, ran, err, k, errR)
+			}
+			compareMachines(t, "after faulting batch", ref, m, true)
+
+			short := New(p, cfg)
+			before := New(p, cfg)
+			for i := uint64(0); i < k; i++ {
+				if err := before.oracleStepInto(&info); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ran, err := short.FastRun(k); ran != k || err != nil {
+				t.Fatalf("FastRun(%d) ending before the fault = (%d, %v)", k, ran, err)
+			}
+			compareMachines(t, "batch ending before the fault", before, short, true)
+			if ran, err := short.FastRun(10); ran != 0 || !sameErr(errR, err) {
+				t.Fatalf("next FastRun = (%d, %v), want (0, %v)", ran, err, errR)
+			}
+			compareMachines(t, "after the fault in the next batch", ref, short, true)
+		})
+	}
+}
+
 // TestFastRunZeroAlloc pins the fast engine's steady-state allocation
 // behavior: once the micro-op array is built and the working set is
 // touched, FastRun allocates nothing per instruction. This is the
 // functional-engine mirror of the detailed core's 0.05 allocs/inst CI
-// floor — but the floor here is exactly zero.
+// floor — but the floor here is exactly zero. The windowed program's
+// steady state pushes and pops window frames at a fixed depth, so a
+// frame stack that allocated per call would show here.
 func TestFastRunZeroAlloc(t *testing.T) {
-	// A pure compute loop that never exits (FastRun's budget bounds it):
-	// no syscalls, since output formatting allocates. It runs every
-	// specialized ALU kind.
-	src := `
+	cases := []struct {
+		name     string
+		windowed bool
+		// Each program never exits (FastRun's budget bounds it) and makes
+		// no syscalls, since output formatting allocates.
+		src string
+	}{
+		{"flat compute loop", false, `
 	.text
 main:
 	addi t0, zero, 0
@@ -197,21 +284,45 @@ loop:
 	fmov fs1, fs0
 	bne  t0, loop
 	jmp  loop
-`
-	prog, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
+`},
+		{"windowed calls at a steady depth", true, `
+	.text
+main:
+	addi s0, s0, 1
+	jsr  f
+	jmp  main
+f:
+	mov  s15, ra
+	addi s0, s0, 1
+	fmov fs1, fs0
+	jsr  g
+	ret  (s15)
+g:
+	addi s1, s1, 3
+	ret
+`},
 	}
-	m := New(prog, Config{})
-	if _, err := m.FastRun(10_000); err != nil { // warm up: build micro-ops, touch pages
-		t.Fatalf("warmup: %v", err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := m.FastRun(100_000); err != nil {
-			t.Fatalf("FastRun: %v", err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("FastRun allocates %.2f times per 100k-instruction batch, want 0", allocs)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prog, err := asm.Assemble(c.src)
+			if err != nil {
+				t.Fatalf("assemble: %v", err)
+			}
+			m := New(prog, Config{Windowed: c.windowed})
+			if _, err := m.FastRun(10_000); err != nil { // warm up: build micro-ops, touch pages, grow the frame stack
+				t.Fatalf("warmup: %v", err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := m.FastRun(100_000); err != nil {
+					t.Fatalf("FastRun: %v", err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("FastRun allocates %.2f times per 100k-instruction batch, want 0", allocs)
+			}
+			if c.windowed && (m.Stats.Calls == 0 || m.Stats.MaxCallDepth != 2) {
+				t.Fatalf("windowed program made %d calls to depth %d, want calls to depth 2", m.Stats.Calls, m.Stats.MaxCallDepth)
+			}
+		})
 	}
 }

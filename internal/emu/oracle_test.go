@@ -133,9 +133,7 @@ func (m *Machine) oraclePopWindow() error {
 	if m.depth == 0 {
 		return fmt.Errorf("emu: register window underflow at pc %#x", m.pc)
 	}
-	m.depth--
-	m.cur = &m.windows[m.depth]
-	m.curMask = &m.wmask[m.depth]
+	m.popWindow()
 	return nil
 }
 

@@ -220,9 +220,11 @@ loop:   subi t0, t0, 1
 }
 
 // TestSpecializedKinds covers the dispatch kinds given to the hottest
-// generic-ALU ops (or, ori, slli, fmov): the predecoder assigns them,
-// and both engines agree with the reference interpreter on them,
-// including a shift amount past 63 and the mov pseudo-op.
+// generic-ALU ops (or, ori, slli, mul, cmpeq, cmplt, fmov, fadd, fsub,
+// fmul): the predecoder assigns them, and both engines agree with the
+// reference interpreter on them, including a shift amount past 63, the
+// mov pseudo-op, signed and immediate comparisons and a product that
+// overflows.
 func TestSpecializedKinds(t *testing.T) {
 	p := build(t, `
 main:   li   t0, 0x1234
@@ -235,9 +237,23 @@ main:   li   t0, 0x1234
         la   s1, vals
         ldf  fs0, 0(s1)
         fmov fs1, fs0
-        mov  fa0, fs1
+        fadd fs2, fs1, fs0     ; 5
+        fmul fs3, fs2, fs1     ; 12.5
+        fsub fa0, fs3, fs0     ; 10
         syscall 3
         mov  a0, s0
+        syscall 2
+        li   t0, -3
+        cmplt  a0, t0, zero    ; 1: signed
+        cmplti t1, t0, -4      ; 0
+        add    a0, a0, t1
+        cmpeq  t1, t0, t0      ; 1
+        add    a0, a0, t1
+        cmpeqi t1, t0, -3      ; 1
+        add    a0, a0, t1
+        syscall 2              ; 3
+        li   t0, 0x4000000000000001
+        mul  a0, t0, t0        ; 2^63+... wraps to 0x8000000000000001
         syscall 2
         syscall 0
         .data
@@ -247,14 +263,14 @@ vals:   .double 2.5
 	for _, f := range New(p, Config{}).fast {
 		seen[f.kind] = true
 	}
-	for _, k := range []fastKind{fkOr, fkOrImm, fkSllImm, fkFMov} {
+	for _, k := range []fastKind{fkOr, fkOrImm, fkSllImm, fkMul, fkCmpEq, fkCmpLt, fkFMov, fkFAdd, fkFSub, fkFMul} {
 		if !seen[k] {
 			t.Errorf("no micro-op of kind %d predecoded", k)
 		}
 	}
 	Lockstep(t, p, false, 100, 1)
 	m, _ := RunMatchesOracle(t, p, Config{})
-	want := "2.5" + "516095" // 0x1F3F<<6 | 0x1F3F
+	want := "10" + "516095" + "3" + "-9223372036854775807" // 0x1F3F<<6 | 0x1F3F; (2^62+1)^2 mod 2^64
 	if got := m.Output.String(); got != want {
 		t.Errorf("output %q, want %q", got, want)
 	}

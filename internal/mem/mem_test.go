@@ -31,6 +31,34 @@ func TestMemoryPageStraddle(t *testing.T) {
 	}
 }
 
+// TestMemoryWord pins Word's contract: a pointer only for an 8-byte
+// access inside the page the last access used, aliasing the bytes Read
+// and Write see; nil otherwise, never installing a page itself.
+func TestMemoryWord(t *testing.T) {
+	m := NewMemory()
+	const base = 0x5000
+	if m.Word(base) != nil {
+		t.Fatal("Word hit on an empty memory")
+	}
+	m.Write(base+8, 8, 0x1122334455667788)
+	w := m.Word(base + 8)
+	if w == nil || w[0] != 0x88 || w[7] != 0x11 {
+		t.Fatalf("Word after a write to its page = %v", w)
+	}
+	w[0] = 0x99
+	if got := m.Read(base+8, 8); got != 0x1122334455667799 {
+		t.Fatalf("store through Word not visible to Read: %#x", got)
+	}
+	for _, addr := range []uint64{base + pageSize - 7, base + pageSize, base - 8} {
+		if m.Word(addr) != nil {
+			t.Errorf("Word(%#x) hit outside the cached page", addr)
+		}
+	}
+	if m.Word(base+pageSize-8) == nil {
+		t.Error("Word missed the last whole word of the cached page")
+	}
+}
+
 func TestMemoryBytesAndClone(t *testing.T) {
 	m := NewMemory()
 	m.WriteBytes(0x2000, []byte("hello"))

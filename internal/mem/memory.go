@@ -80,6 +80,19 @@ func (m *Memory) page(addr uint64, create bool) *[pageSize]byte {
 	return p
 }
 
+// Word returns the 8 bytes at addr when they lie inside the page the
+// last access used (the one-entry page cache), and nil otherwise. It is
+// the hit case of an 8-byte Read or Write, small enough to inline into an
+// interpreter loop; on nil the caller falls back to Read or Write, which
+// refill the cache.
+func (m *Memory) Word(addr uint64) *[8]byte {
+	off := addr & (pageSize - 1)
+	if addr>>pageBits != m.lastKey || m.lastPage == nil || off > pageSize-8 {
+		return nil
+	}
+	return (*[8]byte)(m.lastPage[off : off+8])
+}
+
 // ByteAt returns the byte at addr.
 func (m *Memory) ByteAt(addr uint64) byte {
 	p := m.page(addr, false)

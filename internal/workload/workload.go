@@ -71,25 +71,44 @@ func CallFrequent() []Benchmark {
 	return out
 }
 
-var (
-	buildMu    sync.Mutex
-	buildCache = map[string]*program.Program{}
-)
+// memo computes each key's value at most once per process. Callers of
+// one key share a single computation (late callers wait for it); callers
+// of distinct keys run concurrently, so parallel sweeps profile their
+// benchmarks in parallel. Errors are kept like values: both memoized
+// computations are deterministic, so a retry would fail the same way.
+type memo[V any] struct {
+	mu      sync.Mutex
+	entries map[string]*memoEntry[V]
+}
+
+type memoEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+func (c *memo[V]) get(key string, compute func() (V, error)) (V, error) {
+	c.mu.Lock()
+	e, ok := c.entries[key]
+	if !ok {
+		if c.entries == nil {
+			c.entries = map[string]*memoEntry[V]{}
+		}
+		e = &memoEntry[V]{}
+		c.entries[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = compute() })
+	return e.v, e.err
+}
+
+var builds memo[*program.Program]
 
 // Build compiles the benchmark under an ABI (cached).
 func (b Benchmark) Build(abi minic.ABI) (*program.Program, error) {
-	key := b.Name + "/" + abi.String()
-	buildMu.Lock()
-	defer buildMu.Unlock()
-	if p, ok := buildCache[key]; ok {
-		return p, nil
-	}
-	p, err := minic.Build(b.Name, b.Source, abi)
-	if err != nil {
-		return nil, err
-	}
-	buildCache[key] = p
-	return p, nil
+	return builds.get(b.Name+"/"+abi.String(), func() (*program.Program, error) {
+		return minic.Build(b.Name, b.Source, abi)
+	})
 }
 
 // Profile holds the functional-simulation measurements of one benchmark
@@ -99,38 +118,29 @@ type Profile struct {
 	Output string
 }
 
-var (
-	profMu    sync.Mutex
-	profCache = map[string]*Profile{}
-)
+var profiles memo[*Profile]
 
 // Profile runs the benchmark to completion on the functional emulator
 // (cached) and returns its dynamic statistics.
 func (b Benchmark) Profile(abi minic.ABI) (*Profile, error) {
-	key := b.Name + "/" + abi.String()
-	profMu.Lock()
-	defer profMu.Unlock()
-	if p, ok := profCache[key]; ok {
-		return p, nil
-	}
-	prog, err := b.Build(abi)
-	if err != nil {
-		return nil, err
-	}
-	m := emu.New(prog, emu.Config{Windowed: abi == minic.ABIWindowed, MaxInsts: 1 << 32})
-	reason, err := m.Run()
-	if err != nil {
-		return nil, fmt.Errorf("workload %s (%v): %w", b.Name, abi, err)
-	}
-	if reason != emu.StopExited {
-		return nil, fmt.Errorf("workload %s (%v): stopped: %v", b.Name, abi, reason)
-	}
-	if code, _ := m.Exited(); !code {
-		return nil, fmt.Errorf("workload %s: did not exit", b.Name)
-	}
-	p := &Profile{Stats: m.Stats, Output: m.Output.String()}
-	profCache[key] = p
-	return p, nil
+	return profiles.get(b.Name+"/"+abi.String(), func() (*Profile, error) {
+		prog, err := b.Build(abi)
+		if err != nil {
+			return nil, err
+		}
+		m := emu.New(prog, emu.Config{Windowed: abi == minic.ABIWindowed, MaxInsts: 1 << 32})
+		reason, err := m.Run()
+		if err != nil {
+			return nil, fmt.Errorf("workload %s (%v): %w", b.Name, abi, err)
+		}
+		if reason != emu.StopExited {
+			return nil, fmt.Errorf("workload %s (%v): stopped: %v", b.Name, abi, reason)
+		}
+		if code, _ := m.Exited(); !code {
+			return nil, fmt.Errorf("workload %s: did not exit", b.Name)
+		}
+		return &Profile{Stats: m.Stats, Output: m.Output.String()}, nil
+	})
 }
 
 // PathLengthRatio returns dynamic-instruction-count(windowed) divided by

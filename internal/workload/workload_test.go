@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vca/internal/minic"
+	"vca/internal/program"
 )
 
 func TestAllBenchmarksBuildAndRunBothABIs(t *testing.T) {
@@ -134,5 +137,81 @@ func TestByName(t *testing.T) {
 	}
 	if len(CallFrequent()) == 0 {
 		t.Error("no call-frequent benchmarks")
+	}
+}
+
+// TestMemoOneComputationPerKey pins the memo's contract without timing:
+// concurrent callers of one key share one computation and one result,
+// and a computation of one key does not hold up another key's (the
+// computation of "b" starts while that of "a" is under way, and "a"
+// cannot return until it has).
+func TestMemoOneComputationPerKey(t *testing.T) {
+	var c memo[*int]
+	var calls atomic.Int32
+	aStarted, bStarted := make(chan struct{}), make(chan struct{})
+	results := make([]*int, 8)
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[g], _ = c.get("a", func() (*int, error) {
+				calls.Add(1)
+				close(aStarted)
+				<-bStarted
+				return new(int), nil
+			})
+		}()
+	}
+	<-aStarted
+	if _, err := c.get("b", func() (*int, error) { close(bStarted); return new(int), nil }); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("key computed %d times, want 1", n)
+	}
+	for g, r := range results {
+		if r == nil || r != results[0] {
+			t.Fatalf("caller %d got %p, caller 0 got %p", g, r, results[0])
+		}
+	}
+}
+
+// TestConcurrentProfileAndBuild runs many concurrent callers of one
+// benchmark's Build and Profile (run it under -race): every caller must
+// get the same *Program and the same *Profile.
+func TestConcurrentProfileAndBuild(t *testing.T) {
+	b, err := ByName("parser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	progs := make([]*program.Program, callers)
+	profs := make([]*Profile, callers)
+	errs := make([]error, 2*callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			progs[g], errs[g] = b.Build(minic.ABIWindowed)
+		}()
+		go func() {
+			defer wg.Done()
+			profs[g], errs[callers+g] = b.Profile(minic.ABIWindowed)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for g := range progs {
+		if progs[g] != progs[0] || profs[g] != profs[0] {
+			t.Fatalf("caller %d got program %p profile %p, caller 0 got %p %p",
+				g, progs[g], profs[g], progs[0], profs[0])
+		}
 	}
 }
