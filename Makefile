@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race fuzz-smoke sweep counterpoint-gate check ci docs-check analyze fix-audit bench benchjson experiments cache-smoke cache-ci bench-smoke region-gate serve-smoke shard-bench serve clean gitignore-check
+.PHONY: all build test test-race fuzz-smoke sweep counterpoint-gate check ci docs-check analyze fix-audit bench benchjson experiments cache-smoke cache-ci bench-smoke serve-smoke perfbench-check shard-bench serve clean gitignore-check
 
 all: build test
 
@@ -71,13 +71,6 @@ cache-ci:
 	$(GO) run ./internal/tools/cachecheck -stats $(CACHECI_DIR)/pass2.json -min 0.9
 	rm -rf $(CACHECI_DIR)
 
-# Parallel-region identity gate: a K-way parallel-region run must
-# stitch to the bit-identical counter map of a sequential run, and to
-# the architectural results (committed count, output) of one continuous
-# detailed run of the same budget. See internal/experiments/regions.go.
-region-gate:
-	$(GO) test ./internal/experiments -run '^TestRegionStitchedIdentityGate$$' -count=1 -v
-
 # Sweep-service smoke gate, both topologies over real processes: build
 # vcaserved, start a single daemon, 2 workers and a router over them.
 # The single daemon must answer /healthz + /readyz, stream NDJSON
@@ -113,17 +106,25 @@ analyze:
 fix-audit:
 	$(GO) run ./internal/tools/analyze -nofail
 
+# Benchmark-harness gate: perfbench is a nested module (perfbench/go.mod)
+# that imports the simulator's internal packages, so neither
+# `go build ./...` nor `go vet ./...` at the root compiles it. Vet and
+# test it in place, so that removing or renaming a symbol it uses fails
+# here rather than in perfbench/run.sh.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Extended gate: static checks, the lint suite, the race suite, the
-# fuzz smoke, the cache round-trip smoke, the parallel-region identity
-# gate, the counter-oracle gate, and the sweep-service smoke (single
-# daemon and sharded fleet). Slower
-# than `make test`; run before sending a change.
-check: docs-check analyze gitignore-check test-race fuzz-smoke cache-smoke region-gate counterpoint-gate serve-smoke
+# fuzz smoke, the cache round-trip smoke, the counter-oracle gate, the
+# sweep-service smoke (single daemon and sharded fleet) and the
+# benchmark-harness build. Slower than `make test`; run before sending
+# a change.
+check: docs-check analyze gitignore-check test-race fuzz-smoke cache-smoke counterpoint-gate serve-smoke perfbench-check
 
 # Continuous-integration gate: everything check runs, plus the
 # fixed-seed verification sweep, the run-twice cache round trip, and the
 # throughput smoke gate (detailed + functional engines).
-ci: build docs-check analyze gitignore-check test-race fuzz-smoke cache-smoke region-gate counterpoint-gate serve-smoke sweep cache-ci bench-smoke
+ci: build docs-check analyze gitignore-check test-race fuzz-smoke cache-smoke counterpoint-gate serve-smoke perfbench-check sweep cache-ci bench-smoke
 
 # Documentation gate: all Go code gofmt-clean (examples included),
 # go vet over everything, and no broken relative links in any *.md.

@@ -620,7 +620,7 @@ func BenchmarkSimcacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, _, err := cache.RunMachine(cfg, progs, windowed); err != nil {
+	if _, _, _, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil {
 		b.Fatal(err)
 	}
 	key := simcache.Key(cfg, progs, windowed)
@@ -661,7 +661,7 @@ func BenchmarkSimcachePut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, _, err := src.RunMachine(cfg, progs, windowed); err != nil {
+	if _, _, _, err := src.RunMachine(cfg, progs, windowed, nil); err != nil {
 		b.Fatal(err)
 	}
 	e, ok := src.Get(simcache.Key(cfg, progs, windowed))

@@ -240,9 +240,17 @@ func (m *Machine) ExtractCheckpoint(t int) (*emu.Checkpoint, error) {
 	case RenameVCA:
 		// Committed VCA state is memory-mapped, except that dirty
 		// committed versions are cached in physical registers (§2.1.2).
+		// A committed register whose fill is still in flight holds no
+		// value yet; its value is the one the fill will read: the newest
+		// spill to the address the ASTQ has not issued, or memory.
 		committed := func(addr uint64) uint64 {
-			if p, ok := m.vca.CommittedPhys(addr); ok {
+			if p, ok := m.vca.CommittedPhys(addr); ok && m.physReady[p] {
 				return m.physVal[p]
+			}
+			for i := len(m.astq) - 1; i >= m.astqHead; i-- {
+				if e := &m.astq[i]; e.op.IsSpill && e.op.Addr == addr {
+					return e.op.Value
+				}
 			}
 			return th.mem.Read(addr, 8)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"vca/internal/emu"
@@ -74,13 +75,30 @@ func TestInjectCheckpointResume(t *testing.T) {
 }
 
 // TestExtractCheckpointResume runs each canonical detailed machine under
-// an exact-stop budget, extracts the committed state, and finishes the
-// program on the functional engine: output and exit status must match an
-// uninterrupted reference run, proving extraction captured the complete
-// architectural state. Extraction internally audits the image against
-// the co-simulation golden model.
+// an exact-stop budget, from reset or from an injected fast-forward
+// checkpoint, extracts the committed state, and checks it two ways: its
+// content address equals the functional engine's checkpoint at the same
+// instruction count, and finishing the program on the functional engine
+// reproduces an uninterrupted reference run. Extraction internally
+// audits the image against the co-simulation golden model.
+//
+// The budgets after a checkpoint at 1000 instructions end, on the
+// conv-window machine, on a call that overflows the register windows and
+// on a return that underflows them. The run must then keep cycling until
+// the trap's injected spills or fills have committed (Machine.Run),
+// or extraction finds a trap in flight and fails. On the VCA-window
+// machines the first of them stops with a fill of a committed register
+// in flight, and 3000+240 with a spill of one still queued in the ASTQ.
 func TestExtractCheckpointResume(t *testing.T) {
-	const budget = 2000
+	cases := []struct {
+		start, budget uint64
+		convTrap      bool // the budget's last commit traps on conv-window
+	}{
+		{0, 2000, false},
+		{1000, 7, true},  // overflowing call
+		{1000, 26, true}, // underflowing return
+		{3000, 240, false},
+	}
 	for _, tm := range testMachines() {
 		t.Run(tm.name, func(t *testing.T) {
 			abi := minic.ABIFlat
@@ -90,34 +108,66 @@ func TestExtractCheckpointResume(t *testing.T) {
 			p := buildProg(t, "fib", srcFib, abi)
 			want := refRun(t, p, tm.windowed)
 
-			cfg := tm.cfg
-			cfg.CoSim = true
-			cfg.StopAfter = budget
-			cfg.StopExact = true
-			m, err := New(cfg, []*program.Program{p}, tm.windowed)
-			if err != nil {
-				t.Fatalf("new machine: %v", err)
-			}
-			if _, err := m.Run(); err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			ck, err := m.ExtractCheckpoint(0)
-			if err != nil {
-				t.Fatalf("extract: %v", err)
-			}
-			if ck.Insts != budget {
-				t.Fatalf("checkpoint at %d insts, want exactly %d", ck.Insts, budget)
-			}
+			for _, c := range cases {
+				t.Run(fmt.Sprintf("from%d+%d", c.start, c.budget), func(t *testing.T) {
+					cfg := tm.cfg
+					cfg.CoSim = true
+					cfg.StopExact = true
+					run := func(budget uint64) (*Machine, *Result) {
+						t.Helper()
+						cfg.StopAfter = budget
+						m, err := New(cfg, []*program.Program{p}, tm.windowed)
+						if err != nil {
+							t.Fatalf("new machine: %v", err)
+						}
+						if c.start > 0 {
+							if err := m.InjectCheckpoint(0, fastForwardCheckpoint(t, p, tm.windowed, c.start)); err != nil {
+								t.Fatalf("inject: %v", err)
+							}
+						}
+						res, err := m.Run()
+						if err != nil {
+							t.Fatalf("run: %v", err)
+						}
+						return m, res
+					}
+					m, res := run(c.budget)
+					if c.convTrap && tm.cfg.Window == WindowConventional {
+						if _, prev := run(c.budget - 1); res.WindowTraps != prev.WindowTraps+1 {
+							t.Fatalf("budget %d does not end on a window trap (%d traps, %d one earlier)",
+								c.budget, res.WindowTraps, prev.WindowTraps)
+						}
+					}
+					ck, err := m.ExtractCheckpoint(0)
+					if err != nil {
+						t.Fatalf("extract: %v", err)
+					}
+					if ck.Insts != c.start+c.budget {
+						t.Fatalf("checkpoint at %d insts, want exactly %d", ck.Insts, c.start+c.budget)
+					}
+					gotAddr, err := ck.ContentAddress()
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantAddr, err := fastForwardCheckpoint(t, p, tm.windowed, c.start+c.budget).ContentAddress()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gotAddr != wantAddr {
+						t.Fatalf("detailed end state %.12s != functional state %.12s", gotAddr, wantAddr)
+					}
 
-			fm, err := emu.NewFromCheckpoint(p, emu.Config{Windowed: tm.windowed, MaxInsts: 10_000_000}, ck)
-			if err != nil {
-				t.Fatalf("resume from checkpoint: %v", err)
-			}
-			if reason, err := fm.Run(); err != nil || reason != emu.StopExited {
-				t.Fatalf("functional resume: %v (%v)", err, reason)
-			}
-			if got := fm.Output.String(); got != want {
-				t.Fatalf("output mismatch after extract+resume:\n  got  %q\n  want %q", got, want)
+					fm, err := emu.NewFromCheckpoint(p, emu.Config{Windowed: tm.windowed, MaxInsts: 10_000_000}, ck)
+					if err != nil {
+						t.Fatalf("resume from checkpoint: %v", err)
+					}
+					if reason, err := fm.Run(); err != nil || reason != emu.StopExited {
+						t.Fatalf("functional resume: %v (%v)", err, reason)
+					}
+					if got := fm.Output.String(); got != want {
+						t.Fatalf("output mismatch after extract+resume:\n  got  %q\n  want %q", got, want)
+					}
+				})
 			}
 		})
 	}

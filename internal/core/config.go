@@ -124,8 +124,8 @@ type Config struct {
 	// StopExact freezes commit per thread exactly at the StopAfter
 	// budget instead of finishing the commit group (plain StopAfter can
 	// overshoot by up to Width-1 instructions in the stopping cycle).
-	// Region simulation needs exact boundaries so per-region instruction
-	// counts stitch without overlap; when the budget lands on a window
+	// ExtractCheckpoint needs the exact boundary to produce the image at
+	// a known instruction count; when the budget lands on a window
 	// trap, the run drains the trap's injected operations before
 	// stopping so committed window state is complete at the boundary.
 	StopExact bool

@@ -1,16 +1,14 @@
 // Checkpoints: serializable, versioned, content-addressable images of a
 // functional machine's complete architectural state. A checkpoint is the
 // handoff format between the fast functional engine and the detailed
-// core (fast-forward warmup, vcasim -checkpoint/-restore) and the unit
-// of work for parallel-region simulation (internal/experiments): the
-// region runner manufactures one checkpoint per region boundary and each
-// region job restores one.
+// core (fast-forward warmup, vcasim -checkpoint/-restore), and the
+// detailed core can extract one at an exact instruction boundary
+// (core.Machine.ExtractCheckpoint).
 //
 // The image holds exactly the state the ISA defines — PC, globals, the
 // window-frame stack, sparse memory pages — plus execution provenance
 // (cumulative Stats, program output so far, the program's image hash) so
-// a restored run continues as if it had never stopped and stitched
-// results add up exactly. Content addressing (ContentAddress) is a
+// a restored run continues as if it had never stopped. Content addressing (ContentAddress) is a
 // SHA-256 over the canonical JSON payload; two runs that reach the same
 // architectural state produce byte-identical images because memory
 // snapshots are sorted and all-zero pages are dropped (mem.Snapshot).
@@ -45,7 +43,7 @@ type Checkpoint struct {
 	// beyond the first exist only when true.
 	Windowed bool `json:"windowed"`
 	// Insts is the dynamic instruction count at capture (provenance: it
-	// is Stats.Insts, duplicated at top level as the region boundary id).
+	// is Stats.Insts, duplicated at top level as the boundary id).
 	Insts uint64 `json:"insts"`
 
 	PC      uint64     `json:"pc"`

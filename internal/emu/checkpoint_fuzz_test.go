@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzDecodeCheckpoint feeds arbitrary bytes to the checkpoint decoder,
-// the reader of checkpoint files and cached region images. Decoding must
+// the reader of checkpoint files. Decoding must
 // never panic; an image it accepts must re-encode to the checksum it was
 // accepted under, and, when it validates against the program it claims,
 // restoring it and stepping the restored machine must not panic either.

@@ -9,8 +9,8 @@
 // path never calls EvalALU or BranchTaken.
 //
 // Two entry points drive the one micro-op array. FastRun is the
-// throughput loop behind Run (profiling, Table 2), fast-forward warmup
-// and region checkpoints. It steps through the array by index: fall-
+// throughput loop behind Run (profiling, Table 2) and fast-forward
+// warmup checkpoints. It steps through the array by index: fall-
 // through is i++, a taken direct branch loads its pre-linked index, and
 // only an indirect target is converted from an address (and checked for
 // alignment). The pc is rebuilt from the index only where something

@@ -13,9 +13,8 @@
 //     (Figures 4-6) and their weighted cache-access reduction (§4.3).
 //   - smt.go — multiprogrammed SMT sweeps (Figures 7-8) over the
 //     clustered workload pairings.
-//   - regions.go — checkpointed parallel-region runs: K detailed
-//     regions planned by one functional walk, stitched to bit-identical
-//     counter maps (DESIGN.md §12).
+//   - counterpoint.go — the counter-oracle gate's machine matrix, whose
+//     fast-forwarded cells start from functional checkpoints.
 //
 // Every simulation funnels through the package-wide simcache.Runner
 // and optional result cache (SetJobs/SetCache), so sweeps parallelize
@@ -170,7 +169,7 @@ func RunSMT(benches []workload.Benchmark, arch Arch, physRegs, dl1Ports int, sto
 func runMachine(cfg core.Config, progs []*program.Program, windowed bool, stopAfter uint64) (Metrics, error) {
 	cfg.StopAfter = stopAfter
 	cfg.MaxCycles = 1 << 34
-	res, _, _, err := cache.RunMachine(cfg, progs, windowed)
+	res, _, _, err := cache.RunMachine(cfg, progs, windowed, nil)
 	if err != nil {
 		return Metrics{}, err
 	}

@@ -101,10 +101,11 @@ func CounterpointMatrix() []MatrixCell {
 // detailed machine to the commit budget, and returns the run's counter
 // map plus the config-derived parameter map the predicates reference.
 //
-// With a non-nil cache the run funnels through RunMachineShared (or
-// RunMachineFrom for restored cells) — memoized, singleflight-
-// coalesced — which is how the gate makes the simcache.* service
-// predicates measurable; a nil cache simulates directly.
+// With a non-nil cache a cell run from reset funnels through
+// RunMachineShared (memoized, singleflight-coalesced) and a restored
+// cell through RunMachine (memoized), which is how the gate makes the
+// simcache.* service predicates measurable; a nil cache simulates
+// directly.
 func RunMatrixCell(c MatrixCell, stop uint64, cc *simcache.Cache) (counters, params map[string]uint64, err error) {
 	cfg, ok := c.Arch.Config(len(c.Workloads), c.PhysRegs, 2)
 	if !ok {
@@ -132,7 +133,7 @@ func RunMatrixCell(c MatrixCell, stop uint64, cc *simcache.Cache) (counters, par
 			}
 			cks[i] = m.Checkpoint()
 		}
-		_, counters, _, err = cc.RunMachineFrom(cfg, progs, windowed, cks)
+		_, counters, _, err = cc.RunMachine(cfg, progs, windowed, cks)
 	} else {
 		var e *simcache.Entry
 		if e, _, err = cc.RunMachineShared(simcache.Key(cfg, progs, windowed), cfg, progs, windowed); err == nil {

@@ -1,7 +1,6 @@
 package simcache
 
 import (
-	"os"
 	"testing"
 
 	"vca/internal/emu"
@@ -24,66 +23,57 @@ func fastCheckpoint(t *testing.T, b workload.Benchmark, m model, cut uint64) *em
 	return fm.Checkpoint()
 }
 
-// TestCheckpointStoreRoundTrip: a stored boundary image comes back
-// bit-identical under its provenance key; corruption is detected,
-// discarded, and reported as a miss.
-func TestCheckpointStoreRoundTrip(t *testing.T) {
-	cache, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestKeyFromGolden: a run from reset, given no checkpoint slice or
+// only nil entries, is keyed exactly like Key, so it shares the store
+// entry of the same job run without checkpoints. A checkpointed run is
+// keyed apart from it, and its hashed bytes are pinned: a change here
+// re-keys every cached fast-forwarded cell.
+func TestKeyFromGolden(t *testing.T) {
 	b, _ := workload.ByName("crafty")
-	ck := fastCheckpoint(t, b, testModels[0], 5000)
-	key := CheckpointKey(ck.ProgramHash, ck.Windowed, ck.Insts)
-
-	if _, ok := cache.GetCheckpoint(key); ok {
-		t.Fatal("empty store returned a checkpoint")
-	}
-	if err := cache.PutCheckpoint(key, ck); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := cache.GetCheckpoint(key)
-	if !ok {
-		t.Fatal("stored checkpoint not found")
-	}
-	wantAddr, err := ck.ContentAddress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotAddr, err := got.ContentAddress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotAddr != wantAddr {
-		t.Fatalf("round trip changed content address: %.12s -> %.12s", wantAddr, gotAddr)
-	}
-	if s := cache.Stats(); s.CkHits != 1 || s.CkMisses != 1 || s.CkStores != 1 {
-		t.Fatalf("checkpoint traffic %+v, want 1 hit / 1 miss / 1 store", s)
+	for _, m := range []model{testModels[0], testModels[2]} {
+		cfg, progs, windowed := jobFor(t, b, m)
+		key := Key(cfg, progs, windowed)
+		for _, cks := range [][]*emu.Checkpoint{nil, {}, {nil}, {nil, nil}} {
+			if got, err := KeyFrom(cfg, progs, windowed, cks); err != nil || got != key {
+				t.Errorf("%s: KeyFrom(%d nil entries) = %s (err %v), want Key %s", m.name, len(cks), got, err, key)
+			}
+		}
 	}
 
-	// Flip one byte on disk: the checksum must reject the file.
-	path := cache.checkpointPath(key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cache.GetCheckpoint(key); ok {
-		t.Fatal("corrupted checkpoint was returned")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupted checkpoint file was not removed")
+	for _, g := range []struct {
+		model   model
+		threads int // the same program on every thread
+		ckAt    int // thread whose start is checkpointed; the others start from reset
+		key     string
+	}{
+		{testModels[0], 1, 0, "4eb394cd83104411ae652ef8057fc0e07d256a9dd03ff8eb15e58accec7fa33b"},
+		{testModels[2], 1, 0, "1ccd4ea80fcf82d1c47573197d37a891547081851f8af4f5133c41976527bb70"},
+		{testModels[2], 2, 1, "699463fe1c2a10435eb79b9c166ac69d4856d4ebf1f41bd4ca0bb2743369a5d7"},
+	} {
+		cfg, progs, windowed := jobFor(t, b, g.model)
+		for len(progs) < g.threads {
+			progs = append(progs, progs[0])
+		}
+		cks := make([]*emu.Checkpoint, g.threads)
+		cks[g.ckAt] = fastCheckpoint(t, b, g.model, 5000)
+		got, err := KeyFrom(cfg, progs, windowed, cks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == Key(cfg, progs, windowed) {
+			t.Errorf("%s/%d threads: checkpointed KeyFrom equals the from-reset Key", g.model.name, g.threads)
+		}
+		if got != g.key {
+			t.Errorf("%s/%d threads: KeyFrom %s, want %s", g.model.name, g.threads, got, g.key)
+		}
 	}
 }
 
-// TestRunMachineFromMemoizes: a region job (detailed run started from an
-// injected checkpoint) is cached under a key that includes the starting
+// TestRunMachineCheckpointMemoizes: a detailed run started from an
+// injected checkpoint is cached under a key that includes the starting
 // state, hits bit-identically, and never collides with the from-reset
 // key of the same configuration.
-func TestRunMachineFromMemoizes(t *testing.T) {
+func TestRunMachineCheckpointMemoizes(t *testing.T) {
 	cache, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -105,27 +95,27 @@ func TestRunMachineFromMemoizes(t *testing.T) {
 		t.Fatalf("KeyFrom(nil) must differ from a checkpointed key (err %v)", err)
 	}
 
-	cold, coldCounters, hit, err := cache.RunMachineFrom(cfg, progs, windowed, cks)
+	cold, coldCounters, hit, err := cache.RunMachine(cfg, progs, windowed, cks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
-		t.Fatal("first region run cannot hit")
+		t.Fatal("first checkpointed run cannot hit")
 	}
-	warm, warmCounters, hit, err := cache.RunMachineFrom(cfg, progs, windowed, cks)
+	warm, warmCounters, hit, err := cache.RunMachine(cfg, progs, windowed, cks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit {
-		t.Fatal("second region run must hit")
+		t.Fatal("second checkpointed run must hit")
 	}
 	if got, want := resultJSON(t, warm, warmCounters), resultJSON(t, cold, coldCounters); got != want {
-		t.Fatalf("region hit is not bit-identical to the cold run\ngot:  %s\nwant: %s", got, want)
+		t.Fatalf("checkpointed hit is not bit-identical to the cold run\ngot:  %s\nwant: %s", got, want)
 	}
 
 	// A different starting state must miss.
 	other := fastCheckpoint(t, b, m, 6000)
-	_, _, hit, err = cache.RunMachineFrom(cfg, progs, windowed, []*emu.Checkpoint{other})
+	_, _, hit, err = cache.RunMachine(cfg, progs, windowed, []*emu.Checkpoint{other})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func FuzzCacheEntry(f *testing.F) {
 		f.Fatal(err)
 	}
 	progs := []*program.Program{prog}
-	if _, _, _, err := seed.RunMachine(cfg, progs, false); err != nil {
+	if _, _, _, err := seed.RunMachine(cfg, progs, false, nil); err != nil {
 		f.Fatal(err)
 	}
 	key := Key(cfg, progs, false)

@@ -28,9 +28,9 @@
 // use RunMachine, and concurrent clients use RunMachineShared, which
 // adds singleflight deduplication — overlapping requests for the same
 // content address pay for exactly one simulation (singleflight.go).
-// The cache also memoizes runs that start from a checkpointed state
-// image via RunMachineFrom (checkpoint.go), the basis of the
-// parallel-region harness in internal/experiments.
+// RunMachine also memoizes runs that start from checkpointed state
+// images (vcasim -restore, the counterpoint gate's fast-forwarded
+// cells): KeyFrom adds each image's content address to the key.
 //
 // EXPERIMENTS.md ("Result cache") documents key derivation,
 // invalidation rules, and the cmd/experiments -cache* flags;
@@ -44,12 +44,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"vca/internal/core"
+	"vca/internal/emu"
 	"vca/internal/metrics"
 	"vca/internal/program"
 )
@@ -71,18 +73,29 @@ func Key(cfg core.Config, progs []*program.Program, windowed bool) string {
 	return hashKey(b)
 }
 
-// KeyFromParts derives a job's content address from its already-derived
-// parts: the config fingerprint (core.Config.Fingerprint), the windowed
-// flag, and one program.Program.Digest per thread in thread order. Key
-// hashes the same bytes; the equality is pinned by
-// TestKeyFromPartsMatchesKey.
-func KeyFromParts(cfgFingerprint string, windowed bool, progDigests []string) string {
-	b := append(append(make([]byte, 0, 2048), keyPrefix...), cfgFingerprint...)
-	b = appendKeyPrograms(b, windowed, len(progDigests))
-	for _, d := range progDigests {
-		b = appendKeyProgram(b, d)
+// KeyFrom extends Key with the identity of the checkpoints a run starts
+// from, cks[i] being thread i's starting image: a memoized result is
+// only reusable when the configuration, the programs, AND the exact
+// injected starting state all match. A nil slice (or all-nil entries)
+// is a run from reset and degrades to the plain Key.
+func KeyFrom(cfg core.Config, progs []*program.Program, windowed bool, cks []*emu.Checkpoint) (string, error) {
+	if !slices.ContainsFunc(cks, func(ck *emu.Checkpoint) bool { return ck != nil }) {
+		return Key(cfg, progs, windowed), nil
 	}
-	return hashKey(b)
+	h := sha256.New()
+	fmt.Fprintf(h, "base=%s\nrestores=%d\n", Key(cfg, progs, windowed), len(cks))
+	for i, ck := range cks {
+		if ck == nil {
+			fmt.Fprintf(h, "%d=-\n", i)
+			continue
+		}
+		addr, err := ck.ContentAddress()
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(h, "%d=%s\n", i, addr)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // The hashed bytes of a key are, line by line: schema=<SchemaVersion>,
@@ -163,16 +176,11 @@ type Stats struct {
 	SFHits uint64 `json:"sf_hits,omitempty"`
 
 	// Simulations counts detailed simulations the cache actually started
-	// on behalf of RunMachine/RunMachineShared/RunMachineFrom misses. The
+	// on behalf of RunMachine/RunMachineShared misses. The
 	// singleflight invariant Misses == Simulations (every miss simulates
 	// exactly once, and nothing else simulates) is asserted by the
 	// counterpoint predicate cache-misses-eq-simulations.
 	Simulations uint64 `json:"simulations,omitempty"`
-
-	// Checkpoint-store traffic (region-boundary images; see checkpoint.go).
-	CkHits   uint64 `json:"ck_hits,omitempty"`
-	CkMisses uint64 `json:"ck_misses,omitempty"`
-	CkStores uint64 `json:"ck_stores,omitempty"`
 }
 
 // HitRate returns Hits/(Hits+Misses), 0 when idle.
@@ -191,7 +199,6 @@ type Cache struct {
 	dir string
 
 	hits, misses, stores, corrupt, errs atomic.Uint64
-	ckHits, ckMisses, ckStores          atomic.Uint64
 	sfHits                              atomic.Uint64
 	simulations                         atomic.Uint64
 
@@ -216,8 +223,8 @@ type Cache struct {
 }
 
 // Open creates (if needed) and opens a cache directory, listing it once
-// to learn the stored keys Len counts. Checkpoints (ck-*.json), temp
-// files and a legacy index.json are not entries.
+// to learn the stored keys Len counts. Temp files, a legacy index.json
+// and legacy checkpoint files (ck-*.json) are not entries.
 func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("simcache: %w", err)
@@ -244,8 +251,8 @@ func (c *Cache) Dir() string {
 	return c.dir
 }
 
-// Clear removes every *.json file: entries, checkpoints and a legacy
-// index.json.
+// Clear removes every *.json file: entries, a legacy index.json and
+// legacy checkpoint files.
 func (c *Cache) Clear() error {
 	if c == nil {
 		return nil
@@ -453,26 +460,34 @@ func (c *Cache) Put(key string, cfg core.Config, progs []*program.Program, res *
 // on a miss it builds the machine, runs it, stores the result, and
 // returns it. The returned hit flag reports which path was taken.
 //
+// cks[i], when non-nil, is injected into thread i before the machine
+// runs (core.Machine.InjectCheckpoint); a nil slice starts every thread
+// from reset. The result is stored under KeyFrom, so a cached answer
+// only ever matches the identical starting state.
+//
 // A hit's Result has a nil Metrics registry — callers needing live
 // registry access (histograms, stats dumps) must bypass the cache. A
 // hit's Result and counter map are shared with every other hit on the
 // key (see Get): treat them as read-only.
-func (c *Cache) RunMachine(cfg core.Config, progs []*program.Program, windowed bool) (res *core.Result, counters map[string]uint64, hit bool, err error) {
+func (c *Cache) RunMachine(cfg core.Config, progs []*program.Program, windowed bool, cks []*emu.Checkpoint) (res *core.Result, counters map[string]uint64, hit bool, err error) {
 	if c == nil {
-		res, err := simulate(cfg, progs, windowed)
+		res, err := simulate(cfg, progs, windowed, cks)
 		if err != nil {
 			return nil, nil, false, err
 		}
 		return res, res.Metrics.CounterMap(), false, nil
 	}
-	key := Key(cfg, progs, windowed)
+	key, err := KeyFrom(cfg, progs, windowed, cks)
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("simcache: %w", err)
+	}
 	if e, ok := c.Get(key); ok {
 		c.hits.Add(1)
 		return e.Result, e.Counters, true, nil
 	}
 	c.misses.Add(1)
 	c.simulations.Add(1)
-	r, err := simulate(cfg, progs, windowed)
+	r, err := simulate(cfg, progs, windowed, cks)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -483,10 +498,20 @@ func (c *Cache) RunMachine(cfg core.Config, progs []*program.Program, windowed b
 	return r, cm, false, nil
 }
 
-func simulate(cfg core.Config, progs []*program.Program, windowed bool) (*core.Result, error) {
+// simulate builds and runs one machine, injecting cks[i] (when non-nil)
+// into thread i first.
+func simulate(cfg core.Config, progs []*program.Program, windowed bool, cks []*emu.Checkpoint) (*core.Result, error) {
 	m, err := core.New(cfg, progs, windowed)
 	if err != nil {
 		return nil, err
+	}
+	for i, ck := range cks {
+		if ck == nil {
+			continue
+		}
+		if err := m.InjectCheckpoint(i, ck); err != nil {
+			return nil, err
+		}
 	}
 	return m.Run()
 }
@@ -504,9 +529,6 @@ func (c *Cache) Stats() Stats {
 		Errors:      c.errs.Load(),
 		SFHits:      c.sfHits.Load(),
 		Simulations: c.simulations.Load(),
-		CkHits:      c.ckHits.Load(),
-		CkMisses:    c.ckMisses.Load(),
-		CkStores:    c.ckStores.Load(),
 	}
 }
 
@@ -527,9 +549,6 @@ func (c *Cache) MetricsRegistry() *metrics.Registry {
 	add("errors", s.Errors, "cache I/O errors (degraded to misses)")
 	add("sf_hits", s.SFHits, "concurrent identical jobs coalesced onto one in-flight simulation")
 	add("simulations", s.Simulations, "detailed simulations started for cache misses (invariant: == misses)")
-	add("ck_hits", s.CkHits, "region-boundary checkpoints answered from the store")
-	add("ck_misses", s.CkMisses, "region-boundary checkpoint lookups that missed")
-	add("ck_stores", s.CkStores, "region-boundary checkpoints written to the store")
 	return r
 }
 

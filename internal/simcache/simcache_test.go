@@ -77,14 +77,14 @@ func TestCacheRoundTrip(t *testing.T) {
 	for _, m := range testModels {
 		for _, b := range benches {
 			cfg, progs, windowed := jobFor(t, b, m)
-			cold, coldCounters, hit, err := cache.RunMachine(cfg, progs, windowed)
+			cold, coldCounters, hit, err := cache.RunMachine(cfg, progs, windowed, nil)
 			if err != nil {
 				t.Fatalf("%s/%s cold: %v", b.Name, m.name, err)
 			}
 			if hit {
 				t.Fatalf("%s/%s: first run cannot hit", b.Name, m.name)
 			}
-			warm, warmCounters, hit, err := cache.RunMachine(cfg, progs, windowed)
+			warm, warmCounters, hit, err := cache.RunMachine(cfg, progs, windowed, nil)
 			if err != nil {
 				t.Fatalf("%s/%s warm: %v", b.Name, m.name, err)
 			}
@@ -169,6 +169,20 @@ func TestKeyInvalidation(t *testing.T) {
 			t.Error("windowed flag did not change the key")
 		}
 	})
+	t.Run("program order and count", func(t *testing.T) {
+		mesa, _ := workload.ByName("mesa")
+		p2, err := mesa.Build(testModels[0].abi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair := Key(cfg, []*program.Program{progs[0], p2}, windowed)
+		if pair == base {
+			t.Error("program count did not change the key")
+		}
+		if Key(cfg, []*program.Program{p2, progs[0]}, windowed) == pair {
+			t.Error("program order did not change the key")
+		}
+	})
 }
 
 // TestSchemaBumpForcesMiss simulates a simulator-semantics change: an
@@ -180,7 +194,7 @@ func TestSchemaBumpForcesMiss(t *testing.T) {
 	}
 	b, _ := workload.ByName("twolf")
 	cfg, progs, windowed := jobFor(t, b, testModels[0])
-	if _, _, _, err := cache.RunMachine(cfg, progs, windowed); err != nil {
+	if _, _, _, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil {
 		t.Fatal(err)
 	}
 	key := Key(cfg, progs, windowed)
@@ -204,7 +218,7 @@ func TestSchemaBumpForcesMiss(t *testing.T) {
 	if _, ok := cache.Get(key); ok {
 		t.Fatal("stale-schema entry must miss")
 	}
-	if _, _, hit, err := cache.RunMachine(cfg, progs, windowed); err != nil || hit {
+	if _, _, hit, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil || hit {
 		t.Fatalf("stale-schema entry must re-simulate (hit=%v err=%v)", hit, err)
 	}
 }
@@ -218,7 +232,7 @@ func TestCorruptEntryResimulated(t *testing.T) {
 	}
 	b, _ := workload.ByName("gcc_expr")
 	cfg, progs, windowed := jobFor(t, b, testModels[0])
-	ref, refCounters, _, err := cache.RunMachine(cfg, progs, windowed)
+	ref, refCounters, _, err := cache.RunMachine(cfg, progs, windowed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +261,7 @@ func TestCorruptEntryResimulated(t *testing.T) {
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				// Re-populate (previous subtest discarded the entry).
-				if _, _, _, err := cache.RunMachine(cfg, progs, windowed); err != nil {
+				if _, _, _, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil {
 					t.Fatal(err)
 				}
 				raw, err = os.ReadFile(path)
@@ -259,7 +273,7 @@ func TestCorruptEntryResimulated(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := cache.Stats().Corrupt
-			res, counters, hit, err := cache.RunMachine(cfg, progs, windowed)
+			res, counters, hit, err := cache.RunMachine(cfg, progs, windowed, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,7 +306,7 @@ func TestResumeAfterInterrupt(t *testing.T) {
 				return errors.New("simulated interrupt")
 			}
 			cfg, progs, windowed := jobFor(t, benches[i], m)
-			_, _, _, err := c.RunMachine(cfg, progs, windowed)
+			_, _, _, err := c.RunMachine(cfg, progs, windowed, nil)
 			return err
 		})
 	}
@@ -333,7 +347,7 @@ func TestNilCacheBypasses(t *testing.T) {
 	var c *Cache
 	b, _ := workload.ByName("parser")
 	cfg, progs, windowed := jobFor(t, b, testModels[0])
-	res, counters, hit, err := c.RunMachine(cfg, progs, windowed)
+	res, counters, hit, err := c.RunMachine(cfg, progs, windowed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +371,7 @@ func TestEntryProvenance(t *testing.T) {
 	}
 	b, _ := workload.ByName("gap")
 	cfg, progs, windowed := jobFor(t, b, testModels[2])
-	if _, _, _, err := cache.RunMachine(cfg, progs, windowed); err != nil {
+	if _, _, _, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil {
 		t.Fatal(err)
 	}
 	key := Key(cfg, progs, windowed)
@@ -429,7 +443,7 @@ func TestSharedDirectoryConsistent(t *testing.T) {
 	}
 	b, _ := workload.ByName("mesa")
 	cfg, progs, windowed := jobFor(t, b, testModels[0])
-	if _, _, _, err := seed.RunMachine(cfg, progs, windowed); err != nil {
+	if _, _, _, err := seed.RunMachine(cfg, progs, windowed, nil); err != nil {
 		t.Fatal(err)
 	}
 	e, ok := seed.Get(Key(cfg, progs, windowed))
@@ -489,7 +503,7 @@ func TestMetricsRegistryExport(t *testing.T) {
 	b, _ := workload.ByName("mesa")
 	cfg, progs, windowed := jobFor(t, b, testModels[0])
 	for i := 0; i < 3; i++ {
-		if _, _, _, err := cache.RunMachine(cfg, progs, windowed); err != nil {
+		if _, _, _, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -498,7 +512,6 @@ func TestMetricsRegistryExport(t *testing.T) {
 		"simcache.hits": 2, "simcache.misses": 1, "simcache.stores": 1,
 		"simcache.simulations": 1,
 		"simcache.corrupt":     0, "simcache.errors": 0, "simcache.sf_hits": 0,
-		"simcache.ck_hits": 0, "simcache.ck_misses": 0, "simcache.ck_stores": 0,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("exported counters %v, want %v", got, want)
@@ -507,9 +520,9 @@ func TestMetricsRegistryExport(t *testing.T) {
 
 // TestSimulationsMatchMisses pins the service-accounting invariant the
 // counterpoint cache-misses-eq-simulations predicate sweeps for: every
-// cache miss starts exactly one detailed simulation, across the plain,
-// singleflight, and checkpoint-restored entry points — and hits start
-// none.
+// cache miss starts exactly one detailed simulation, across the plain
+// and singleflight entry points and a run given a checkpoint slice —
+// and hits start none.
 func TestSimulationsMatchMisses(t *testing.T) {
 	cache, err := Open(t.TempDir())
 	if err != nil {
@@ -520,7 +533,7 @@ func TestSimulationsMatchMisses(t *testing.T) {
 
 	// Miss then hit through RunMachine.
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := cache.RunMachine(cfg, progs, windowed); err != nil {
+		if _, _, _, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -533,12 +546,13 @@ func TestSimulationsMatchMisses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Miss then hit through the checkpoint-restored path (nil
-	// checkpoints: cold start, but keyed separately).
+	// Miss then hit through RunMachine given all-nil checkpoints: a cold
+	// start, keyed like the plain Key (different key here: deeper stop
+	// budget again).
 	cfg3 := cfg
 	cfg3.StopAfter = cfg.StopAfter + 2000
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := cache.RunMachineFrom(cfg3, progs, windowed, make([]*emu.Checkpoint, len(progs))); err != nil {
+		if _, _, _, err := cache.RunMachine(cfg3, progs, windowed, make([]*emu.Checkpoint, len(progs))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -549,63 +563,6 @@ func TestSimulationsMatchMisses(t *testing.T) {
 	}
 	if s.Misses != 3 || s.Hits != 3 {
 		t.Errorf("traffic misses=%d hits=%d, want 3/3", s.Misses, s.Hits)
-	}
-}
-
-// TestKeyFromPartsMatchesKey pins the pre-admission routing derivation:
-// the key the shard router computes from a cell's config fingerprint and
-// program digests (KeyFromParts) must equal the key the worker's cache
-// derives when the cell actually runs (Key) — that equality is what
-// makes consistent-hash routing cache-affine. It also pins the
-// sensitivity of every part: a changed config, program image, program
-// order, or windowed flag must change the key.
-func TestKeyFromPartsMatchesKey(t *testing.T) {
-	crafty, _ := workload.ByName("crafty")
-	mesa, _ := workload.ByName("mesa")
-	cfg, progs, windowed := jobFor(t, crafty, testModels[2])
-	p2, err := mesa.Build(testModels[2].abi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	progs = append(progs, p2)
-	cfg2 := core.DefaultConfig(testModels[2].rename, testModels[2].window, 2, testModels[2].physRegs)
-	cfg2.StopAfter = testStop
-	cfg2.MaxCycles = 1 << 34
-	cfg = cfg2
-
-	digests := []string{progs[0].Digest(), progs[1].Digest()}
-	want := Key(cfg, progs, windowed)
-	if got := KeyFromParts(cfg.Fingerprint(), windowed, digests); got != want {
-		t.Fatalf("KeyFromParts = %s, Key = %s", got, want)
-	}
-
-	// Sensitivity: each part independently changes the address.
-	cfgB := cfg
-	cfgB.StopAfter++
-	if KeyFromParts(cfgB.Fingerprint(), windowed, digests) == want {
-		t.Error("config change did not change the key")
-	}
-	if KeyFromParts(cfg.Fingerprint(), !windowed, digests) == want {
-		t.Error("windowed flag did not change the key")
-	}
-	if KeyFromParts(cfg.Fingerprint(), windowed, []string{digests[1], digests[0]}) == want {
-		t.Error("program order did not change the key")
-	}
-	if KeyFromParts(cfg.Fingerprint(), windowed, digests[:1]) == want {
-		t.Error("program count did not change the key")
-	}
-
-	// Digest is a pure function of the image: rebuilding the same
-	// workload yields the same digest, a different workload a new one.
-	p1b, err := crafty.Build(testModels[2].abi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1b.Digest() != digests[0] {
-		t.Error("rebuilding the same workload changed its digest")
-	}
-	if digests[0] == digests[1] {
-		t.Error("distinct workloads share a program digest")
 	}
 }
 
@@ -632,13 +589,6 @@ func TestKeyGolden(t *testing.T) {
 		cfg, progs, windowed := jobFor(t, b, m)
 		if got := Key(cfg, progs, windowed); got != g.key {
 			t.Errorf("%s/%s: key %s, want %s", g.bench, g.model, got, g.key)
-		}
-		digests := make([]string, len(progs))
-		for i, p := range progs {
-			digests[i] = p.Digest()
-		}
-		if got := KeyFromParts(cfg.Fingerprint(), windowed, digests); got != g.key {
-			t.Errorf("%s/%s: KeyFromParts %s, want %s", g.bench, g.model, got, g.key)
 		}
 	}
 }

@@ -75,7 +75,7 @@ func (g *flightGroup) do(key string, fn func() (*Entry, error)) (e *Entry, share
 // like RunMachine.
 func (c *Cache) RunMachineShared(key string, cfg core.Config, progs []*program.Program, windowed bool) (e *Entry, hit bool, err error) {
 	if c == nil {
-		res, counters, _, err := c.RunMachine(cfg, progs, windowed)
+		res, counters, _, err := c.RunMachine(cfg, progs, windowed, nil)
 		if err != nil {
 			return nil, false, err
 		}
@@ -96,7 +96,7 @@ func (c *Cache) RunMachineShared(key string, cfg core.Config, progs []*program.P
 		}
 		c.misses.Add(1)
 		c.simulations.Add(1)
-		r, err := simulate(cfg, progs, windowed)
+		r, err := simulate(cfg, progs, windowed, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -45,7 +45,7 @@ func TestSingleflightFollowerSharesLeader(t *testing.T) {
 	key := Key(cfg, progs, false)
 
 	// Simulate once directly to have a result to publish.
-	res, err := simulate(cfg, progs, false)
+	res, err := simulate(cfg, progs, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

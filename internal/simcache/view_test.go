@@ -115,7 +115,7 @@ func TestViewRemovals(t *testing.T) {
 	key := Key(cfg, progs, windowed)
 	fill := func() {
 		t.Helper()
-		if _, _, _, err := c.RunMachine(cfg, progs, windowed); err != nil {
+		if _, _, _, err := c.RunMachine(cfg, progs, windowed, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := c.Get(key); !ok || !inView(c, key) {

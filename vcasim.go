@@ -161,7 +161,7 @@ type MachineSpec struct {
 	// Mutually exclusive with Restore and ChromeTrace.
 	FastForward uint64
 	// Restore starts thread i from Restore[i] (a checkpoint previously
-	// produced by FastForward, Checkpoint files, or a region walk) instead
+	// produced by FastForward or read from a Checkpoint file) instead
 	// of architectural reset; nil entries start from reset. Mutually
 	// exclusive with FastForward and ChromeTrace.
 	Restore []*Checkpoint
@@ -310,15 +310,7 @@ func Run(spec MachineSpec, progs ...*Program) (Result, error) {
 		}
 	}
 	if cache := spec.Cache; cache != nil && spec.Trace == nil && spec.ChromeTrace == nil && !spec.Check {
-		var (
-			res *core.Result
-			err error
-		)
-		if len(restores) > 0 {
-			res, _, _, err = cache.RunMachineFrom(cfg, progs, spec.Arch.Windowed(), restores)
-		} else {
-			res, _, _, err = cache.RunMachine(cfg, progs, spec.Arch.Windowed())
-		}
+		res, _, _, err := cache.RunMachine(cfg, progs, spec.Arch.Windowed(), restores)
 		if err != nil {
 			return Result{}, err
 		}
