@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race fuzz-smoke sweep counterpoint-gate check ci docs-check analyze fix-audit bench benchjson experiments cache-smoke cache-ci bench-smoke serve-smoke perfbench-check shard-bench serve clean gitignore-check
+.PHONY: all build test test-race fuzz-smoke sweep counterpoint-gate check ci docs-check analyze fix-audit bench experiments cache-smoke cache-ci serve-smoke perfbench-check serve clean gitignore-check
 
 all: build test
 
@@ -84,12 +84,6 @@ cache-ci:
 serve-smoke:
 	$(GO) run ./internal/tools/shardsmoke
 
-# Honest sharded-throughput measurement (1 vs 2 workers + cache-affine
-# replay), printed as JSON for EXPERIMENTS.md; never asserted, because
-# wall-clock scaling depends on host cores.
-shard-bench:
-	$(GO) run ./internal/tools/shardsmoke -bench
-
 # Run the sweep service locally with defaults (docs/SERVICE.md).
 serve:
 	$(GO) run ./cmd/vcaserved
@@ -122,9 +116,12 @@ perfbench-check:
 check: docs-check analyze gitignore-check test-race fuzz-smoke cache-smoke counterpoint-gate serve-smoke perfbench-check
 
 # Continuous-integration gate: everything check runs, plus the
-# fixed-seed verification sweep, the run-twice cache round trip, and the
-# throughput smoke gate (detailed + functional engines).
-ci: build docs-check analyze gitignore-check test-race fuzz-smoke cache-smoke counterpoint-gate serve-smoke perfbench-check sweep cache-ci bench-smoke
+# fixed-seed verification sweep and the run-twice cache round trip.
+# Host speed is not gated here: perfbench (perfbench/README.md) measures
+# it as interleaved parent/change pairs, and the host-independent
+# throughput checks (allocation floors, the fast engine's speedup floor)
+# are tier-1 tests.
+ci: build docs-check analyze gitignore-check test-race fuzz-smoke cache-smoke counterpoint-gate serve-smoke perfbench-check sweep cache-ci
 
 # Documentation gate: all Go code gofmt-clean (examples included),
 # go vet over everything, and no broken relative links in any *.md.
@@ -141,19 +138,6 @@ docs-check:
 # results-stream line (ns/op, allocs/op).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkTable1Baseline|BenchmarkCorePipeline|BenchmarkCoreNew|BenchmarkVCAEvictUnderPressure|BenchmarkEmuFastRun|BenchmarkEmuProfile|BenchmarkCosimStep|BenchmarkConfigFingerprint|BenchmarkSimcacheKey|BenchmarkSimcacheHit|BenchmarkSimcachePut|BenchmarkStreamLine' -benchmem . ./internal/server
-
-# Throughput smoke gate (wired into `make ci`): BenchmarkSimThroughput at
-# a fixed -benchtime, best-of-3, compared against the committed baseline
-# (bench_smoke_baseline.json). Fails on an allocs/inst regression above
-# the PR-1 steady-state floor or a >25% ns/inst regression.
-bench-smoke:
-	$(GO) run ./internal/tools/benchsmoke -baseline bench_smoke_baseline.json
-
-# Regenerate the committed throughput report for this tree. Bump the
-# target filename when the tree's performance character changes; older
-# BENCH_N.json files stay committed as the trajectory.
-benchjson:
-	$(GO) run ./cmd/experiments -benchjson BENCH_5.json
 
 # Full paper evaluation at the default commit budget.
 experiments:

@@ -9,8 +9,10 @@
 package vca
 
 import (
+	"math"
 	"strconv"
 	"testing"
+	"time"
 
 	"vca/internal/core"
 	"vca/internal/emu"
@@ -310,37 +312,16 @@ func BenchmarkCosimStep(b *testing.B) {
 // micro-op array, tight dispatch loop — the fast-forward path) on the
 // same workload as BenchmarkSimThroughput. Each op is exactly 100k
 // executed instructions, so ns/op / 100000 is ns per simulated
-// instruction; cmd/benchsmoke gates both this engine's absolute
-// throughput and its speedup over the detailed core.
+// instruction. TestFastEngineSpeedupFloor checks its speedup over the
+// detailed core and that it does not allocate; perfbench tracks its
+// host throughput (emu.fastforward_mips).
 func BenchmarkEmuFastRun(b *testing.B) {
-	bench, err := workload.ByName("crafty")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := bench.Build(minic.ABIFlat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const budget = 100_000
-	m := emu.New(prog, emu.Config{})
-	if _, err := m.FastRun(budget); err != nil { // warm up: predecode, touch pages
-		b.Fatal(err)
-	}
+	batch := warmFastEngine(b, craftyFlat(b))
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		need := uint64(budget)
-		for need > 0 {
-			ran, err := m.FastRun(need)
-			if err != nil {
-				b.Fatal(err)
-			}
-			need -= ran
-			if ex, _ := m.Exited(); ex {
-				m = emu.New(prog, emu.Config{})
-			}
-		}
-		insts += budget
+		batch()
+		insts += throughputBudget
 	}
 	sec := b.Elapsed().Seconds()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
@@ -387,36 +368,115 @@ func BenchmarkEmuProfile(b *testing.B) {
 // BenchmarkSimThroughput is the repo's tracked perf headline: simulated
 // MIPS (committed instructions per host second) of the detailed core on
 // the cmd/experiments entry-point configuration, co-simulation on — the
-// exact mode every table and figure pays for. cmd/experiments -benchjson
-// records the same quantity to BENCH_*.json; keep the two in sync.
+// exact mode every table and figure pays for. perfbench tracks the same
+// quantity end to end as core.ns_per_inst and core.run_s.
 func BenchmarkSimThroughput(b *testing.B) {
-	bench, err := workload.ByName("crafty")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := bench.Build(minic.ABIFlat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig(core.RenameConventional, core.WindowNone, 1, 256)
-	cfg.StopAfter = 100_000
-	cfg.MaxCycles = 1 << 34
+	prog := craftyFlat(b)
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		m, err := core.New(cfg, []*program.Program{prog}, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := m.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts += res.Threads[0].Committed
+		insts += detailedRun(b, prog)
 	}
 	sec := b.Elapsed().Seconds()
 	if sec > 0 {
 		b.ReportMetric(float64(insts)/sec/1e6, "simMIPS")
+	}
+}
+
+// throughputBudget is the instruction count of one BenchmarkSimThroughput
+// run and of one BenchmarkEmuFastRun batch.
+const throughputBudget = 100_000
+
+// craftyFlat builds the throughput workload: crafty under the flat ABI.
+func craftyFlat(tb testing.TB) *program.Program {
+	tb.Helper()
+	bench, err := workload.ByName("crafty")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := bench.Build(minic.ABIFlat)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog
+}
+
+// detailedRun runs prog on the detailed core in the cmd/experiments
+// entry-point configuration (conventional rename, 256 registers,
+// co-simulation on) for throughputBudget committed instructions and
+// returns the number committed.
+func detailedRun(tb testing.TB, prog *program.Program) uint64 {
+	tb.Helper()
+	cfg := core.DefaultConfig(core.RenameConventional, core.WindowNone, 1, 256)
+	cfg.StopAfter = throughputBudget
+	cfg.MaxCycles = 1 << 34
+	m, err := core.New(cfg, []*program.Program{prog}, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := m.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Threads[0].Committed
+}
+
+// warmFastEngine returns one batch of the fast functional engine on
+// prog: exactly throughputBudget instructions, restarting the program
+// when it exits. One batch has already run, so predecode and page
+// touches are not in the measured ones.
+func warmFastEngine(tb testing.TB, prog *program.Program) (batch func()) {
+	m := emu.New(prog, emu.Config{})
+	if _, err := m.FastRun(throughputBudget); err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		for need := uint64(throughputBudget); need > 0; {
+			ran, err := m.FastRun(need)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			need -= ran
+			if ex, _ := m.Exited(); ex {
+				m = emu.New(prog, emu.Config{})
+			}
+		}
+	}
+}
+
+// TestFastEngineSpeedupFloor keeps the fast functional engine (the
+// fast-forward path) at least 12 times faster per instruction than the
+// detailed core on the throughput workload, and free of allocation once
+// warm. The two engines alternate in one process on one host and the
+// minimum of three runs of each is compared, so the ratio does not
+// depend on host speed; the floor sits far below the measured ratio, so
+// only a real collapse of the fast path trips it. Host speed itself is
+// perfbench's to measure (perfbench/README.md).
+func TestFastEngineSpeedupFloor(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("the race detector slows the two engines by different factors")
+	}
+	const floor = 12
+	prog := craftyFlat(t)
+	batch := warmFastEngine(t, prog)
+	if allocs := testing.AllocsPerRun(3, batch); allocs != 0 {
+		t.Errorf("a warmed %d-instruction FastRun batch allocates %v times, want 0", throughputBudget, allocs)
+	}
+
+	detailedNs, fastNs := math.Inf(1), math.Inf(1) // per instruction, minimum over runs
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		committed := detailedRun(t, prog)
+		d := float64(time.Since(start).Nanoseconds()) / float64(committed)
+		start = time.Now()
+		batch()
+		f := float64(time.Since(start).Nanoseconds()) / throughputBudget
+		detailedNs, fastNs = min(detailedNs, d), min(fastNs, f)
+	}
+	ratio := detailedNs / fastNs
+	t.Logf("detailed %.1f ns/inst, fast %.2f ns/inst: %.1fx (floor %dx)", detailedNs, fastNs, ratio, floor)
+	if ratio < floor {
+		t.Errorf("the fast engine is only %.1fx faster than the detailed core, want >= %dx", ratio, floor)
 	}
 }
 

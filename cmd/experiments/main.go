@@ -16,6 +16,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -48,12 +49,11 @@ var (
 	flagCPReport     = flag.String("cpreport", "", "write the counterpoint refinement report JSON to this file (requires -counterpoint)")
 
 	flagJobs       = flag.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
-	flagCache      = flag.Bool("cache", true, "memoize simulation results on disk (EXPERIMENTS.md \"Result cache\"; -cache=false also disables -cachedir/-cacheclear/-cachestats)")
+	flagCache      = flag.Bool("cache", true, "memoize simulation results on disk (EXPERIMENTS.md \"Result cache\"; -cachedir/-cacheclear/-cachestats are rejected with -cache=false)")
 	flagCacheDir   = flag.String("cachedir", ".simcache", "result cache directory (requires -cache)")
 	flagCacheClear = flag.Bool("cacheclear", false, "clear the result cache before running (requires -cache)")
 	flagCacheStats = flag.String("cachestats", "", "write end-of-run cache hit/miss counters as JSON to this file (requires -cache)")
 
-	flagBenchJSON  = flag.String("benchjson", "", "measure simulator throughput on a fixed workload matrix and write JSON to this file (rows always simulate — the cache is never consulted, only its traffic counters are recorded in the report)")
 	flagCPUProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flagMemProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 )
@@ -62,13 +62,12 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"experiments — regenerate the paper's tables and figures (results commentary: EXPERIMENTS.md)\n\n"+
-				"At least one selector is required: -all, -table1/2, -fig4..8, -benchjson, -sweep, -counterpoint, or -cacheclear.\n"+
+				"At least one selector is required: -all, -table1/2, -fig4..8, -sweep, -counterpoint, or -cacheclear.\n"+
 				"Flag interactions:\n"+
 				"  -sweep and -counterpoint are mutually exclusive (each owns the run's exit status)\n"+
 				"  -sweepseed only affects -sweep and -counterpoint\n"+
 				"  -predicates and -cpreport require -counterpoint\n"+
 				"  -cachedir/-cacheclear/-cachestats require -cache (the default)\n"+
-				"  -benchjson rows always simulate; the cache is never consulted for them\n"+
 				"  -counterpoint cells always simulate fresh (predicates measure the live machine)\n\nFlags:\n")
 		flag.PrintDefaults()
 	}
@@ -78,24 +77,18 @@ func main() {
 		*flagFig4, *flagFig5, *flagFig6 = true, true, true
 		*flagFig7, *flagFig8 = true, true
 	}
-	if !(*flagTable1 || *flagTable2 || *flagFig4 || *flagFig5 || *flagFig6 || *flagFig7 || *flagFig8 || *flagBenchJSON != "" || *flagSweep > 0 || *flagCounterpoint || *flagCacheClear) {
+	if !(*flagTable1 || *flagTable2 || *flagFig4 || *flagFig5 || *flagFig6 || *flagFig7 || *flagFig8 || *flagSweep > 0 || *flagCounterpoint || *flagCacheClear) {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *flagSweep > 0 && *flagCounterpoint {
-		fmt.Fprintln(os.Stderr, "experiments: -sweep and -counterpoint are mutually exclusive (each owns the run's exit status)")
-		os.Exit(2)
-	}
-	if (*flagPredicates != "" || *flagCPReport != "") && !*flagCounterpoint {
-		fmt.Fprintln(os.Stderr, "experiments: -predicates and -cpreport require -counterpoint")
+	if err := checkFlags(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
 
 	experiments.SetJobs(*flagJobs)
-	var cache *simcache.Cache
 	if *flagCache {
-		var err error
-		cache, err = simcache.Open(*flagCacheDir)
+		cache, err := simcache.Open(*flagCacheDir)
 		check(err)
 		if *flagCacheClear {
 			check(cache.Clear())
@@ -130,9 +123,6 @@ func main() {
 		}()
 	}
 
-	if *flagBenchJSON != "" {
-		check(benchJSON(*flagBenchJSON, cache))
-	}
 	if *flagSweep > 0 {
 		sweep(*flagSweepSeed, *flagSweep)
 	}
@@ -157,6 +147,24 @@ func main() {
 	if *flagFig8 {
 		check(fig8())
 	}
+}
+
+// checkFlags rejects the flag combinations the usage text forbids, so
+// that none of them runs nothing or silently drops an output file. It
+// reads the flag values from the package's flag variables; fs reports
+// which flags were given on the command line.
+func checkFlags(fs *flag.FlagSet) error {
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	switch {
+	case *flagSweep > 0 && *flagCounterpoint:
+		return errors.New("-sweep and -counterpoint are mutually exclusive (each owns the run's exit status)")
+	case (*flagPredicates != "" || *flagCPReport != "") && !*flagCounterpoint:
+		return errors.New("-predicates and -cpreport require -counterpoint")
+	case !*flagCache && (given["cachedir"] || *flagCacheClear || *flagCacheStats != ""):
+		return errors.New("-cachedir, -cacheclear and -cachestats require -cache")
+	}
+	return nil
 }
 
 // sweep runs the config-space lockstep verification sweep and exits

@@ -29,7 +29,7 @@ import (
 )
 
 var (
-	flagBench = flag.String("bench", "crafty", "comma-separated benchmark names (one per thread)")
+	flagProgs = flag.String("bench", "crafty", "comma-separated benchmark names (one per thread)")
 	flagArch  = flag.String("arch", "baseline", "baseline | conv-windowed | ideal-windowed | vca-flat | vca-windowed")
 	flagRegs  = flag.Int("regs", 256, "physical register file size")
 	flagPorts = flag.Int("ports", 2, "data cache ports")
@@ -87,7 +87,7 @@ func main() {
 	}
 	var progs []*vca.Program
 	var names []string
-	for _, name := range strings.Split(*flagBench, ",") {
+	for _, name := range strings.Split(*flagProgs, ",") {
 		b, err := workload.ByName(strings.TrimSpace(name))
 		if err != nil {
 			fail(err)

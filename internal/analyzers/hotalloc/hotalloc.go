@@ -1,7 +1,7 @@
 // Package hotalloc implements the hotalloc analyzer: no
 // allocation-prone constructs in the event-driven core's per-cycle /
-// per-uop paths. The bench-smoke gate holds the simulator to a 0.05
-// allocs-per-instruction floor (internal/tools/benchsmoke); this pass
+// per-uop paths. core's TestSteadyStateAllocs holds the simulator to a
+// 0.05 allocs-per-instruction floor; this pass
 // locks in *why* that number holds by forbidding the three constructs
 // that silently reintroduce steady-state allocation:
 //

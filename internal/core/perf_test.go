@@ -7,6 +7,7 @@ import (
 
 	"vca/internal/minic"
 	"vca/internal/program"
+	"vca/internal/workload"
 )
 
 // TestDeterminismFullResult runs the same configuration twice back to
@@ -57,44 +58,69 @@ func TestDeterminismFullResult(t *testing.T) {
 // over the commit budget; a regression that allocates per instruction
 // (the pre-pool behavior was ~4 allocs/inst) trips this immediately.
 //
-// Co-simulation is off: the golden-model emulator is a separate
-// subsystem, and its syscall output formatting may allocate.
+// The fib machine runs without co-simulation, so it bounds the cycle
+// loop alone. The crafty machine is BenchmarkSimThroughput's
+// configuration (DefaultConfig, co-simulation on), so the same bound
+// also covers the golden-model emulator stepping beside the core.
 func TestSteadyStateAllocs(t *testing.T) {
-	p := buildProg(t, "fib", srcFib, minic.ABIFlat)
-	cfg := DefaultConfig(RenameVCA, WindowNone, 1, 128)
-	cfg.CoSim = false
-	cfg.StopAfter = 40_000
-
-	// Machine construction allocates (register file, predictor tables,
-	// program pages, metric registry); measure it separately so the
-	// bound tracks only the cycle loop itself.
-	construction := testing.AllocsPerRun(3, func() {
-		if _, err := New(cfg, []*program.Program{p}, false); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	var committed uint64
-	perRun := testing.AllocsPerRun(3, func() {
-		m, err := New(cfg, []*program.Program{p}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		committed = res.Threads[0].Committed
-	})
-	if committed == 0 {
-		t.Fatal("no instructions committed")
+	crafty, err := workload.ByName("crafty")
+	if err != nil {
+		t.Fatal(err)
 	}
-	steady := perRun - construction
-	perInst := steady / float64(committed)
-	t.Logf("%.0f allocs/run (%.0f construction), %d committed, %.4f allocs/inst",
-		perRun, construction, committed, perInst)
-	if perInst > 0.05 {
-		t.Errorf("steady-state allocation regression: %.4f allocs per committed instruction (want <= 0.05)", perInst)
+	craftyProg, err := crafty.Build(minic.ABIFlat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fibCfg := DefaultConfig(RenameVCA, WindowNone, 1, 128)
+	fibCfg.CoSim = false
+	fibCfg.StopAfter = 40_000
+	craftyCfg := DefaultConfig(RenameConventional, WindowNone, 1, 256)
+	craftyCfg.StopAfter = 100_000
+	if !craftyCfg.CoSim {
+		t.Fatal("DefaultConfig no longer co-simulates; the crafty case assumes it does")
+	}
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		prog *program.Program
+	}{
+		{"fib/vca-flat-128/no-cosim", fibCfg, buildProg(t, "fib", srcFib, minic.ABIFlat)},
+		{"crafty/baseline-256/cosim", craftyCfg, craftyProg},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Machine construction allocates (register file, predictor
+			// tables, program pages, metric registry); measure it
+			// separately so the bound tracks only the cycle loop itself.
+			construction := testing.AllocsPerRun(3, func() {
+				if _, err := New(tc.cfg, []*program.Program{tc.prog}, false); err != nil {
+					t.Fatal(err)
+				}
+			})
+
+			var committed uint64
+			perRun := testing.AllocsPerRun(3, func() {
+				m, err := New(tc.cfg, []*program.Program{tc.prog}, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := m.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				committed = res.Threads[0].Committed
+			})
+			if committed == 0 {
+				t.Fatal("no instructions committed")
+			}
+			steady := perRun - construction
+			perInst := steady / float64(committed)
+			t.Logf("%.0f allocs/run (%.0f construction), %d committed, %.4f allocs/inst",
+				perRun, construction, committed, perInst)
+			if perInst > 0.05 {
+				t.Errorf("steady-state allocation regression: %.4f allocs per committed instruction (want <= 0.05)", perInst)
+			}
+		})
 	}
 }
 

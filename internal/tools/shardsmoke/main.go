@@ -22,12 +22,6 @@
 //     through re-dispatch to the ring successor.
 //  5. SIGTERM drains the router and surviving worker cleanly (exit 0).
 //
-// With -bench the tool instead measures sharded throughput honestly
-// (1-worker vs 2-worker wall time on distinct cells, plus the
-// cache-affinity replay) and prints a JSON report for EXPERIMENTS.md /
-// BENCH_6.json; nothing is asserted in that mode, because wall-clock
-// scaling depends on host cores (docs/SERVICE.md "Sharded deployment").
-//
 // The tool exits non-zero with a diagnostic on the first violated
 // property. It builds the daemon with the local toolchain, so it must
 // run from the repository root (as the Makefile does).
@@ -38,7 +32,6 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -54,17 +47,12 @@ import (
 	"vca/internal/simcache"
 )
 
-var flagBench = flag.Bool("bench", false, "measure 1-worker vs 2-worker sharded throughput and print JSON instead of running the gate")
-
 func main() {
-	flag.Parse()
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "shardsmoke: FAIL:", err)
 		os.Exit(1)
 	}
-	if !*flagBench {
-		fmt.Println("shardsmoke: PASS")
-	}
+	fmt.Println("shardsmoke: PASS")
 }
 
 // daemon is one running vcaserved process (worker or router).
@@ -123,13 +111,6 @@ func run() error {
 		return fmt.Errorf("building vcaserved: %w", err)
 	}
 
-	if *flagBench {
-		return runBench(tmp, bin)
-	}
-	return runGate(tmp, bin)
-}
-
-func runGate(tmp, bin string) error {
 	// Two workers, a router over them, and a single daemon as the
 	// byte-identity reference — four real processes, fresh caches.
 	w1, err := startDaemon(bin, "-cachedir", filepath.Join(tmp, "cache-w1"), "-workers", "2")
@@ -366,104 +347,6 @@ func sameCells(gotName string, got []server.CellResult, wantName string, want []
 		}
 	}
 	return nil
-}
-
-// benchReport is the -bench JSON output (consumed by EXPERIMENTS.md /
-// BENCH_6.json, never asserted: wall-clock scaling is host-dependent).
-type benchReport struct {
-	HostCPUs          int     `json:"host_cpus"`
-	Cells             int     `json:"cells"`
-	StopAfter         uint64  `json:"stop_after"`
-	OneWorkerSec      float64 `json:"one_worker_sec"`
-	TwoWorkerSec      float64 `json:"two_worker_sec"`
-	Speedup           float64 `json:"speedup"`
-	AffinityReplaySec float64 `json:"affinity_replay_sec"`
-}
-
-func runBench(tmp, bin string) error {
-	req := server.SweepRequest{
-		Tenant:     "bench",
-		Benchmarks: []string{"crafty", "twolf", "mesa", "gap"},
-		Archs:      []string{"vca-flat"},
-		PhysRegs:   []int{128, 256},
-		StopAfter:  500000,
-	}
-	cells, err := server.ExpandCells(&req, 0)
-	if err != nil {
-		return err
-	}
-	measure := func(nWorkers int) (cold, replay float64, err error) {
-		var workers []*daemon
-		var urls []string
-		for i := 0; i < nWorkers; i++ {
-			w, err := startDaemon(bin,
-				"-cachedir", filepath.Join(tmp, fmt.Sprintf("bench-%d-w%d", nWorkers, i)),
-				"-workers", "2")
-			if err != nil {
-				return 0, 0, err
-			}
-			defer w.cmd.Process.Kill()
-			workers = append(workers, w)
-			urls = append(urls, w.base)
-		}
-		router, err := startDaemon(bin, "-route", strings.Join(urls, ","))
-		if err != nil {
-			return 0, 0, err
-		}
-		defer router.cmd.Process.Kill()
-
-		start := time.Now()
-		if _, err := streamSweep(router.base, req, nil); err != nil {
-			return 0, 0, err
-		}
-		cold = time.Since(start).Seconds()
-
-		// The replay: an identical sweep from another tenant, answered
-		// entirely from the workers' now-warm caches.
-		rq := req
-		rq.Tenant = "bench-replay"
-		start = time.Now()
-		if _, err := streamSweep(router.base, rq, nil); err != nil {
-			return 0, 0, err
-		}
-		replay = time.Since(start).Seconds()
-
-		router.stop()
-		for _, w := range workers {
-			w.stop()
-		}
-		return cold, replay, nil
-	}
-
-	one, _, err := measure(1)
-	if err != nil {
-		return err
-	}
-	two, replay, err := measure(2)
-	if err != nil {
-		return err
-	}
-	rep := benchReport{
-		HostCPUs:          numCPU(),
-		Cells:             len(cells),
-		StopAfter:         req.StopAfter,
-		OneWorkerSec:      one,
-		TwoWorkerSec:      two,
-		Speedup:           one / two,
-		AffinityReplaySec: replay,
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-func numCPU() int {
-	// Read from the scheduler's view, not GOMAXPROCS of this tool.
-	b, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return 0
-	}
-	return strings.Count(string(b), "\nprocessor") + 1
 }
 
 // readBaseURL scans daemon stdout for the listening line.
