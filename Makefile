@@ -38,9 +38,11 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzWorkerResult$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzMetricsMerge$$' -fuzztime $(FUZZTIME)
 
-# Fixed-seed config-space lockstep sweep (see docs/VERIFICATION.md).
+# Fixed-seed generated-cell sweeps (see docs/VERIFICATION.md): 25
+# lockstep runs, then the full refute-and-refine counter-oracle hunt.
 sweep:
 	$(GO) run ./cmd/experiments -sweep 25 -sweepseed 1
+	$(GO) run ./cmd/experiments -counterpoint -sweepseed 1
 
 # Counter-oracle gate: evaluate every counterpoint predicate against
 # the golden matrix (scheduler grid + windowed-SMT + restored cells)
@@ -116,7 +118,7 @@ perfbench-check:
 check: docs-check analyze gitignore-check test-race fuzz-smoke cache-smoke counterpoint-gate serve-smoke perfbench-check
 
 # Continuous-integration gate: everything check runs, plus the
-# fixed-seed verification sweep and the run-twice cache round trip.
+# fixed-seed verification sweeps and the run-twice cache round trip.
 # Host speed is not gated here: perfbench (perfbench/README.md) measures
 # it as interleaved parent/change pairs, and the host-independent
 # throughput checks (allocation floors, the fast engine's speedup floor)

@@ -31,16 +31,20 @@ func counterpointSweep(seed int64, predicates, reportPath string) {
 	}
 
 	fmt.Printf("== Counter-oracle sweep: seed %d ==\n", seed)
-	rep, err := counterpoint.Sweep(counterpoint.SweepOptions{
+	cells := counterpoint.PlanSweep(seed)
+	rep, err := counterpoint.Sweep(cells, counterpoint.SweepOptions{
 		Seed:       seed,
 		Jobs:       *flagJobs,
 		Predicates: names,
-		Progress: func(done, total int, cell string, refuted int) {
+		Progress: func(i int, cell string, refuted int, err error) {
 			status := "ok"
-			if refuted > 0 {
+			switch {
+			case err != nil:
+				status = "ERROR"
+			case refuted > 0:
 				status = fmt.Sprintf("%d REFUTED", refuted)
 			}
-			fmt.Printf("cell %3d/%d %-44s %s\n", done, total, cell, status)
+			fmt.Printf("cell %3d/%d %-44s %s\n", i+1, len(cells), cell, status)
 		},
 	})
 	if err != nil {
@@ -50,15 +54,8 @@ func counterpointSweep(seed int64, predicates, reportPath string) {
 		os.Exit(1)
 	}
 
-	fmt.Printf("\n%-28s %6s %8s %8s %14s  %s\n", "predicate", "holds", "refuted", "vacuous", "min-slack", "tightest cell")
-	for _, s := range rep.Predicates {
-		slack, cell := "-", ""
-		if s.MinSlack != nil {
-			slack = fmt.Sprintf("%d", *s.MinSlack)
-			cell = s.MinSlackCell
-		}
-		fmt.Printf("%-28s %6d %8d %8d %14s  %s\n", s.Name, s.Holds, s.Refuted, s.Vacuous, slack, cell)
-	}
+	fmt.Println()
+	rep.WriteTable(os.Stdout)
 	for _, name := range rep.VacuousEverywhere() {
 		fmt.Printf("note: %s was vacuous across this sweep (the golden-matrix gate covers it)\n", name)
 	}

@@ -173,9 +173,14 @@ func checkFlags(fs *flag.FlagSet) error {
 // the harness down (panic, reported as a failed cell).
 func sweep(seed int64, n int) {
 	fmt.Printf("== Lockstep verification sweep: %d runs, seed %d ==\n", n, seed)
-	repros, err := verify.Sweep(seed, n, *flagJobs, func(i int, failed bool) {
+	var repros []verify.Repro
+	err := verify.Sweep(verify.Plan(seed, n), *flagJobs, verify.Lockstep, func(i int, rs []verify.Repro, err error) {
+		repros = append(repros, rs...)
 		status := "ok"
-		if failed {
+		switch {
+		case err != nil:
+			status = "ERROR"
+		case len(rs) > 0:
 			status = "DIVERGED"
 		}
 		fmt.Printf("run %3d/%d: %s\n", i+1, n, status)

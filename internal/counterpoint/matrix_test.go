@@ -15,13 +15,11 @@ package counterpoint
 // this file); perturbation and re-evaluation are pure map operations.
 
 import (
-	"os"
 	"sort"
 	"sync"
 	"testing"
 
 	"vca/internal/experiments"
-	"vca/internal/simcache"
 )
 
 var (
@@ -30,42 +28,12 @@ var (
 	matrixErr  error
 )
 
-// matrixInputs measures every golden-matrix cell into an Input, plus
-// the serving cache's own simcache.* registry as a pseudo-cell —
-// mirroring exactly what the counterpoint gate evaluates.
+// matrixInputs measures the golden matrix once (MeasureMatrix, exactly
+// what the counterpoint gate evaluates) for every test in this file.
 func matrixInputs(t *testing.T) []Input {
 	t.Helper()
 	matrixOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "counterpoint-matrix-*")
-		if err != nil {
-			matrixErr = err
-			return
-		}
-		defer os.RemoveAll(dir)
-		cache, err := simcache.Open(dir)
-		if err != nil {
-			matrixErr = err
-			return
-		}
-		cells := experiments.CounterpointMatrix()
-		ins := make([]Input, len(cells))
-		runner := simcache.Runner{}
-		matrixErr = runner.Run(len(cells), func(i int) error {
-			counters, params, err := experiments.RunMatrixCell(cells[i], experiments.MatrixStop, cache)
-			if err != nil {
-				return err
-			}
-			ins[i] = Input{Cell: cells[i].Name, Counters: counters, Params: params}
-			return nil
-		})
-		if matrixErr != nil {
-			return
-		}
-		matrixIns = append(ins, Input{
-			Cell:     "simcache/served-matrix",
-			Counters: cache.MetricsRegistry().CounterMap(),
-			Params:   map[string]uint64{},
-		})
+		matrixIns, matrixErr = MeasureMatrix(experiments.MatrixStop, 0)
 	})
 	if matrixErr != nil {
 		t.Fatalf("measuring golden matrix: %v", matrixErr)
@@ -82,12 +50,10 @@ func TestMatrixCleanAndNoVacuousPredicates(t *testing.T) {
 	rep := NewReport("matrix", preds)
 	rep.Cells = len(ins)
 	for _, in := range ins {
-		for _, v := range EvalAll(preds, in) {
-			rep.Observe(in.Cell, v)
-			if v.Status == StatusRefuted {
-				t.Errorf("%s refuted at %s (slack %d, witness %v)", v.Predicate, in.Cell, v.Slack, v.Witness)
-			}
-		}
+		rep.Record(in.Cell, preds, EvalAll(preds, in))
+	}
+	for _, ref := range rep.Refutations {
+		t.Errorf("%s refuted at %s (slack %d, witness %v)", ref.Predicate, ref.Cell, ref.Slack, ref.Witness)
 	}
 	for _, name := range rep.VacuousEverywhere() {
 		t.Errorf("%s is vacuous across the whole matrix: no cell exercises it", name)

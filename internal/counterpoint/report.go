@@ -2,6 +2,8 @@ package counterpoint
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"slices"
 	"strings"
 
@@ -84,8 +86,29 @@ func NewReport(source string, preds []Predicate) *Report {
 	return r
 }
 
-// Observe folds one verdict into the predicate's summary row.
-func (r *Report) Observe(cell string, v Verdict) {
+// Record folds one cell's verdicts (EvalAll over preds) into the
+// per-predicate tallies and adds a Refutation for each refuted verdict.
+// It returns the added refutations, in verdict order, so a sweep can
+// attach the cell's repros to them.
+func (r *Report) Record(cell string, preds []Predicate, vs []Verdict) []Refutation {
+	n := len(r.Refutations)
+	for pi, v := range vs {
+		r.observe(cell, v)
+		if v.Status == StatusRefuted {
+			r.Refutations = append(r.Refutations, Refutation{
+				Predicate: v.Predicate,
+				Algebra:   preds[pi].Algebra(),
+				Cell:      cell,
+				Slack:     v.Slack,
+				Witness:   v.Witness,
+			})
+		}
+	}
+	return r.Refutations[n:]
+}
+
+// observe folds one verdict into the predicate's summary row.
+func (r *Report) observe(cell string, v Verdict) {
 	i, ok := r.index[v.Predicate]
 	if !ok {
 		return
@@ -105,9 +128,6 @@ func (r *Report) Observe(cell string, v Verdict) {
 		s.Vacuous++
 	}
 }
-
-// Add records one refutation.
-func (r *Report) Add(ref Refutation) { r.Refutations = append(r.Refutations, ref) }
 
 // Finish sorts the refutation list (cell, then predicate) so the
 // report is deterministic regardless of worker scheduling.
@@ -142,6 +162,19 @@ func (r *Report) VacuousEverywhere() []string {
 		}
 	}
 	return out
+}
+
+// WriteTable writes the per-predicate tally table: holds, refuted and
+// vacuous counts, with the tightest slack and the cell that produced it.
+func (r *Report) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "%-28s %6s %8s %8s %14s  %s\n", "predicate", "holds", "refuted", "vacuous", "min-slack", "tightest cell")
+	for _, s := range r.Predicates {
+		slack, cell := "-", ""
+		if s.MinSlack != nil {
+			slack, cell = fmt.Sprint(*s.MinSlack), s.MinSlackCell
+		}
+		fmt.Fprintf(w, "%-28s %6d %8d %8d %14s  %s\n", s.Name, s.Holds, s.Refuted, s.Vacuous, slack, cell)
+	}
 }
 
 // MarshalIndent renders the report as stable, human-diffable JSON.

@@ -3,10 +3,8 @@ package counterpoint
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"vca/internal/progen"
-	"vca/internal/simcache"
 	"vca/internal/verify"
 )
 
@@ -115,95 +113,78 @@ func cellName(i int, c verify.Case) string {
 
 // SweepOptions configures a refute-and-refine hunt.
 type SweepOptions struct {
-	Seed       int64    // plan seed (PlanSweep)
+	Seed       int64    // the seed the cells were planned from (PlanSweep), recorded in the report
 	Jobs       int      // parallel workers (0 = GOMAXPROCS)
-	MaxCells   int      // truncate the plan to its first N cells (0 = all)
 	Predicates []string // subset of catalogue names (nil = all)
 	Fault      *Perturb // optional perturbation applied to every cell
-	NoShrink   bool     // skip minimal-repro shrinking on refutation
-	// Progress, when set, is called as cells complete (any order,
-	// serialized): done cells so far, total, this cell's name and
-	// refutation count.
-	Progress func(done, total int, cell string, refuted int)
+	// Progress, when set, is called once per cell in cell order: the
+	// cell's index and name, its refutation count, and the error that
+	// kept it from being judged (nil when it was).
+	Progress func(i int, cell string, refuted int, err error)
 }
 
-// Sweep plans and runs the cross-product, evaluates the predicate set
-// against every cell's counter map, shrinks each refutation to a
-// minimal (machine, program) repro with the verify shrinker, and
-// returns the refinement report. The returned error aggregates
-// harness-level failures (a cell that will not simulate), never a mere
-// refutation — refutations are the report's payload.
-func Sweep(opts SweepOptions) (*Report, error) {
+// Sweep judges the planned cells (PlanSweep's plan, or a slice of it)
+// on the verify sweep driver: every predicate is evaluated against each
+// cell's counter map, and each refutation is shrunk to a minimal
+// (machine, program) repro on which the predicate still refutes, fault
+// re-applied. It returns the refinement report. The returned error
+// aggregates harness-level failures (a cell that will not simulate),
+// never a mere refutation — refutations are the report's payload.
+func Sweep(cells []verify.Case, opts SweepOptions) (*Report, error) {
 	preds, err := ByName(opts.Predicates)
 	if err != nil {
 		return nil, err
 	}
-	cases := PlanSweep(opts.Seed)
-	if opts.MaxCells > 0 && len(cases) > opts.MaxCells {
-		cases = cases[:opts.MaxCells]
-	}
 
-	type cellResult struct {
-		verdicts []Verdict
-		refs     []Refutation
-	}
-	results := make([]cellResult, len(cases))
-
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	runner := simcache.Runner{Jobs: opts.Jobs, KeepGoing: true}
-	runErr := runner.Run(len(cases), func(i int) error {
-		c := cases[i]
-		name := cellName(i, c)
+	// Written by the judge on cell i's worker: the cell's verdicts and,
+	// per refutation, the verdict its shrunk repro measured.
+	verdicts := make([][]Verdict, len(cells))
+	shrunk := make([][]Verdict, len(cells))
+	judge := func(i int, c verify.Case) ([]verify.Finding, error) {
 		in, err := runCell(c, opts.Fault)
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", cellName(i, c), err)
 		}
-		in.Cell = name
-		res := cellResult{verdicts: EvalAll(preds, in)}
-		for pi, v := range res.verdicts {
+		verdicts[i] = EvalAll(preds, in)
+		var findings []verify.Finding
+		for pi, v := range verdicts[i] {
 			if v.Status != StatusRefuted {
 				continue
 			}
-			ref := Refutation{
-				Predicate: v.Predicate,
-				Algebra:   preds[pi].Algebra(),
-				Cell:      name,
-				Slack:     v.Slack,
-				Witness:   v.Witness,
-				Machine:   &cases[i].Machine,
-				Program:   &cases[i].Program,
-			}
-			if !opts.NoShrink {
-				shrinkRefutation(&ref, c, preds[pi], opts.Fault)
-			}
-			res.refs = append(res.refs, ref)
+			k := len(shrunk[i])
+			shrunk[i] = append(shrunk[i], v)
+			findings = append(findings, verify.Finding{Failure: v.Predicate, Fails: func(m verify.MachineSpec, p verify.ProgramSpec) bool {
+				in, err := runCell(verify.Case{Machine: m, Program: p}, opts.Fault)
+				if err != nil {
+					return false // a cell that no longer simulates is not a repro
+				}
+				sv := preds[pi].Eval(in)
+				if sv.Status != StatusRefuted {
+					return false
+				}
+				shrunk[i][k] = sv // Shrink returns the last pair its test accepted
+				return true
+			}})
 		}
-		mu.Lock()
-		results[i] = res
-		done++
-		if opts.Progress != nil {
-			opts.Progress(done, len(cases), name, len(res.refs))
-		}
-		mu.Unlock()
-		return nil
-	})
+		return findings, nil
+	}
 
 	rep := NewReport("sweep", preds)
-	rep.Seed = opts.Seed
-	rep.Cells = len(cases)
-	rep.Fault = opts.Fault
-	for i, res := range results {
-		name := cellName(i, cases[i])
-		for _, v := range res.verdicts {
-			rep.Observe(name, v)
+	rep.Seed, rep.Cells, rep.Fault = opts.Seed, len(cells), opts.Fault
+	runErr := verify.Sweep(cells, opts.Jobs, judge, func(i int, repros []verify.Repro, err error) {
+		name := cellName(i, cells[i])
+		if err == nil {
+			refs := rep.Record(name, preds, verdicts[i])
+			for k, r := range repros {
+				refs[k].Machine, refs[k].Program = &cells[i].Machine, &cells[i].Program
+				refs[k].Shrunk = &verify.Case{Machine: r.Machine, Program: r.Program}
+				refs[k].ShrunkSlack, refs[k].ShrunkWitness = shrunk[i][k].Slack, shrunk[i][k].Witness
+			}
 		}
-		for _, ref := range res.refs {
-			rep.Add(ref)
+		if opts.Progress != nil {
+			opts.Progress(i, name, len(repros), err)
 		}
-	}
+	})
 	rep.Finish()
 	return rep, runErr
 }
@@ -223,25 +204,4 @@ func runCell(c verify.Case, fault *Perturb) (Input, error) {
 		counters = fault.Apply(counters)
 	}
 	return Input{Counters: counters, Params: params}, nil
-}
-
-// shrinkRefutation greedily minimizes the refuting (machine, program)
-// pair: a candidate shrink is kept only if the predicate still refutes
-// on a re-measured run (fault re-applied, so injected refutations
-// shrink too). The shrunk pair's own witness and slack are recorded.
-func shrinkRefutation(ref *Refutation, c verify.Case, pred Predicate, fault *Perturb) {
-	refutes := func(m verify.MachineSpec, p verify.ProgramSpec) bool {
-		in, err := runCell(verify.Case{Machine: m, Program: p}, fault)
-		if err != nil {
-			return false // a cell that no longer simulates is not a repro
-		}
-		return pred.Eval(in).Status == StatusRefuted
-	}
-	sm, sp := verify.Shrink(c.Machine, c.Program, refutes)
-	ref.Shrunk = &verify.Case{Machine: sm, Program: sp}
-	if in, err := runCell(verify.Case{Machine: sm, Program: sp}, fault); err == nil {
-		v := pred.Eval(in)
-		ref.ShrunkSlack = v.Slack
-		ref.ShrunkWitness = v.Witness
-	}
 }

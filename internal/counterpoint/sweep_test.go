@@ -48,9 +48,8 @@ func TestPlanSweepDeterministicAndConstructs(t *testing.T) {
 // byte and survive a JSON round trip.
 func TestSeededRefutationShrinksAndReportRoundTrips(t *testing.T) {
 	fault := &Perturb{Counter: "core.commit.uops", Delta: 1 << 40}
-	rep, err := Sweep(SweepOptions{
+	rep, err := Sweep(PlanSweep(1)[:2], SweepOptions{
 		Seed:       1,
-		MaxCells:   2,
 		Predicates: []string{"issue-ge-commit"},
 		Fault:      fault,
 	})
@@ -119,7 +118,7 @@ func TestSeededRefutationShrinksAndReportRoundTrips(t *testing.T) {
 // slice of the real sweep must produce no refutations and a populated
 // per-predicate summary.
 func TestSweepCleanAtHead(t *testing.T) {
-	rep, err := Sweep(SweepOptions{Seed: 1, MaxCells: 4, NoShrink: true})
+	rep, err := Sweep(PlanSweep(1)[:4], SweepOptions{Seed: 1})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}

@@ -313,7 +313,8 @@ func (r *Registry) Perturb(name string, delta int64) bool {
 }
 
 // CounterMap returns just the plain counters as a name→value map — the
-// compact form merged into BENCH_*.json throughput rows.
+// compact form the result cache stores with each entry, perfbench reads
+// per run, and the counterpoint predicates evaluate.
 func (r *Registry) CounterMap() map[string]uint64 {
 	out := make(map[string]uint64, len(r.entries))
 	for i := range r.entries {

@@ -14,7 +14,11 @@ import (
 
 // Runner executes independent, deterministic jobs across worker
 // goroutines. It is the single dispatch layer of the experiment
-// harness (internal/experiments, internal/verify): every sweep used to
+// harness: internal/experiments' figure sweeps, the sweep service's
+// cells (internal/server), the generated-cell sweep driver both the
+// lockstep sweep and the counter-oracle hunt run on (verify.Sweep), and
+// the counterpoint golden matrix that the counterpoint gate
+// (internal/tools/counterpointgate) evaluates. Every sweep used to
 // carry its own ad-hoc parallelFor with first-finisher-wins error
 // reporting; the Runner replaces those with deterministic semantics.
 //

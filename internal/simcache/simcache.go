@@ -533,8 +533,8 @@ func (c *Cache) Stats() Stats {
 }
 
 // MetricsRegistry exports the traffic counters as a point-in-time
-// internal/metrics registry (names simcache.*), the form the BENCH_*
-// report and other exporters consume.
+// internal/metrics registry (names simcache.*), the form the service's
+// /metrics endpoint and the counterpoint golden matrix consume.
 func (c *Cache) MetricsRegistry() *metrics.Registry {
 	s := c.Stats()
 	r := metrics.NewRegistry()

@@ -24,77 +24,38 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"sync"
 
 	"vca/internal/counterpoint"
 	"vca/internal/experiments"
-	"vca/internal/simcache"
 )
 
 var (
 	flagStop = flag.Uint64("stop", experiments.MatrixStop, "per-cell commit budget (instructions)")
 	flagJobs = flag.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS)")
 	flagOut  = flag.String("out", "", "write the refinement report JSON to this file")
-	flagV    = flag.Bool("v", false, "print every cell as it completes")
+	flagV    = flag.Bool("v", false, "print every measured cell")
 )
 
 func main() {
 	flag.Parse()
 
-	dir, err := os.MkdirTemp("", "counterpointgate-*")
+	ins, err := counterpoint.MeasureMatrix(*flagStop, *flagJobs)
 	if err != nil {
 		fail(err)
 	}
-	defer os.RemoveAll(dir)
-	cache, err := simcache.Open(dir)
-	if err != nil {
-		fail(err)
-	}
-
 	preds := counterpoint.Catalog()
-	cells := experiments.CounterpointMatrix()
 	rep := counterpoint.NewReport("matrix", preds)
-	rep.Cells = len(cells) + 1 // + the cache's own registry pseudo-cell
-
-	type cellOut struct{ verdicts []counterpoint.Verdict }
-	outs := make([]cellOut, len(cells))
-	var mu sync.Mutex
-	runner := simcache.Runner{Jobs: *flagJobs, KeepGoing: true}
-	runErr := runner.Run(len(cells), func(i int) error {
-		counters, params, err := experiments.RunMatrixCell(cells[i], *flagStop, cache)
-		if err != nil {
-			return err
-		}
-		in := counterpoint.Input{Cell: cells[i].Name, Counters: counters, Params: params}
-		vs := counterpoint.EvalAll(preds, in)
-		mu.Lock()
-		outs[i] = cellOut{verdicts: vs}
+	rep.Cells = len(ins)
+	for _, in := range ins {
 		if *flagV {
-			fmt.Printf("cell %-40s ok\n", cells[i].Name)
+			fmt.Printf("cell %-40s ok\n", in.Cell)
 		}
-		mu.Unlock()
-		return nil
-	})
-	if runErr != nil {
-		fail(runErr)
+		// Matrix cells are fixed benchmarks, not generated specs: a
+		// refutation names its cell and is not shrunk.
+		rep.Record(in.Cell, preds, counterpoint.EvalAll(preds, in))
 	}
-
-	for i, o := range outs {
-		record(rep, preds, cells[i].Name, o.verdicts)
-	}
-
-	// The cache that just served the matrix is itself a measurable cell:
-	// its simcache.* registry must satisfy the service-accounting
-	// predicates (misses == simulations, stores <= misses).
-	cacheIn := counterpoint.Input{
-		Cell:     "simcache/served-matrix",
-		Counters: cache.MetricsRegistry().CounterMap(),
-		Params:   map[string]uint64{},
-	}
-	record(rep, preds, cacheIn.Cell, counterpoint.EvalAll(preds, cacheIn))
 	rep.Finish()
-
-	printTable(rep)
+	rep.WriteTable(os.Stdout)
 
 	if *flagOut != "" {
 		b, err := rep.MarshalIndent()
@@ -129,37 +90,6 @@ func main() {
 	}
 	fmt.Printf("counterpoint-gate: %d predicates held across %d cells, none vacuous\n",
 		len(preds), rep.Cells)
-}
-
-// record folds one cell's verdicts into the report, capturing matrix
-// refutations (no shrink: matrix cells are fixed benchmarks, not
-// shrinkable generated specs — the repro *is* the named cell).
-func record(rep *counterpoint.Report, preds []counterpoint.Predicate, cell string, vs []counterpoint.Verdict) {
-	for pi, v := range vs {
-		rep.Observe(cell, v)
-		if v.Status == counterpoint.StatusRefuted {
-			rep.Add(counterpoint.Refutation{
-				Predicate: v.Predicate,
-				Algebra:   preds[pi].Algebra(),
-				Cell:      cell,
-				Slack:     v.Slack,
-				Witness:   v.Witness,
-			})
-		}
-	}
-}
-
-func printTable(rep *counterpoint.Report) {
-	fmt.Printf("%-28s %6s %8s %8s %14s  %s\n", "predicate", "holds", "refuted", "vacuous", "min-slack", "tightest cell")
-	for _, s := range rep.Predicates {
-		slack := "-"
-		cell := ""
-		if s.MinSlack != nil {
-			slack = fmt.Sprintf("%d", *s.MinSlack)
-			cell = s.MinSlackCell
-		}
-		fmt.Printf("%-28s %6d %8d %8d %14s  %s\n", s.Name, s.Holds, s.Refuted, s.Vacuous, slack, cell)
-	}
 }
 
 func fail(err error) {

@@ -11,8 +11,6 @@ package verify
 // invariant checker's own bookkeeping.
 
 import (
-	"fmt"
-
 	"vca/internal/core"
 	"vca/internal/isa"
 )
@@ -46,29 +44,9 @@ func ConfigParams(cfg core.Config) map[string]uint64 {
 // its counter map. The run is capped at MaxCycles like every verify
 // run, so a pathological configuration errors out instead of hanging.
 func RunCounters(ms MachineSpec, ps ProgramSpec) (map[string]uint64, error) {
-	cfg, err := ms.coreConfig()
+	res, err := run(ms, ps, false)
 	if err != nil {
 		return nil, err
-	}
-	cfg.CoSim = false
-	cfg.Check = false
-	progs, _, err := ps.programs(ms.Threads, ms.Windowed())
-	if err != nil {
-		return nil, err
-	}
-	m, err := core.New(cfg, progs, ms.Windowed())
-	if err != nil {
-		return nil, fmt.Errorf("verify: machine construction: %w", err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		return nil, fmt.Errorf("verify: %s/%s: %w", ms.Rename, ms.Window, err)
 	}
 	return res.Metrics.CounterMap(), nil
 }
-
-// Constructs reports whether the spec builds a valid machine. The
-// counterpoint planner uses it to reject cross-product cells that the
-// machine constructor would refuse (e.g. too few physical registers
-// for the thread count).
-func (s MachineSpec) Constructs() bool { return s.constructs() }

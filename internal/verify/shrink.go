@@ -75,7 +75,7 @@ func Shrink(ms MachineSpec, ps ProgramSpec, fails func(MachineSpec, ProgramSpec)
 				if !c(&m, &p) {
 					break
 				}
-				if m != ms && !m.constructs() {
+				if m != ms && !m.Constructs() {
 					break
 				}
 				if !fails(m, p) {

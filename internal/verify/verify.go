@@ -5,10 +5,13 @@
 // diverges from the functional emulator or trips an invariant — shrinks
 // the failing (machine, program) pair to a minimal reproduction that
 // serializes as JSON. `cmd/experiments -sweep` is the command-line
-// entry point; docs/VERIFICATION.md documents the repro format.
+// entry point; docs/VERIFICATION.md documents the repro format. The
+// sweep driver (Sweep) takes a per-case Judge, so the counter oracle
+// (internal/counterpoint) runs its refute-and-refine hunt on it too.
 package verify
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -147,35 +150,46 @@ func (p ProgramSpec) programs(threads int, windowed bool) ([]*program.Program, [
 // instruction in agreement with the reference, produced identical
 // output on every thread, and never violated a cycle-level invariant.
 func RunOne(ms MachineSpec, ps ProgramSpec) error {
+	_, err := run(ms, ps, true)
+	return err
+}
+
+// run builds the pair's machine and runs it to completion. In lockstep
+// (co-simulation and the invariant checker on) every thread's output
+// must also match its reference run; otherwise the run is a plain
+// measurement with both checks off.
+func run(ms MachineSpec, ps ProgramSpec, lockstep bool) (*core.Result, error) {
 	cfg, err := ms.coreConfig()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	cfg.CoSim, cfg.Check = lockstep, lockstep
 	progs, want, err := ps.programs(ms.Threads, ms.Windowed())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m, err := core.New(cfg, progs, ms.Windowed())
 	if err != nil {
-		return fmt.Errorf("verify: machine construction: %w", err)
+		return nil, fmt.Errorf("verify: machine construction: %w", err)
 	}
 	res, err := m.Run()
 	if err != nil {
-		return fmt.Errorf("verify: %s/%s: %w", ms.Rename, ms.Window, err)
+		return nil, fmt.Errorf("verify: %s/%s: %w", ms.Rename, ms.Window, err)
 	}
 	for i := range progs {
-		if got := res.Threads[i].Output; got != want[i] {
-			return fmt.Errorf("verify: %s/%s thread %d output %q, want %q",
+		if got := res.Threads[i].Output; lockstep && got != want[i] {
+			return nil, fmt.Errorf("verify: %s/%s thread %d output %q, want %q",
 				ms.Rename, ms.Window, i, got, want[i])
 		}
 	}
-	return nil
+	return res, nil
 }
 
-// constructs reports whether the spec builds a valid machine (the
-// sampler uses it to reject out-of-range configurations, e.g. too few
-// physical registers for the thread count).
-func (s MachineSpec) constructs() bool {
+// Constructs reports whether the spec builds a valid machine. The
+// sampler, the shrinker and the counterpoint planner use it to reject
+// out-of-range configurations, e.g. too few physical registers for the
+// thread count.
+func (s MachineSpec) Constructs() bool {
 	cfg, err := s.coreConfig()
 	if err != nil {
 		return false
@@ -232,7 +246,7 @@ func SampleSpec(r *rand.Rand) (MachineSpec, ProgramSpec) {
 			ms.TablePorts = 4 + r.Intn(5)
 			ms.ASTQWrites = 1 + r.Intn(4)
 		}
-		if ms.constructs() {
+		if ms.Constructs() {
 			break
 		}
 	}
@@ -279,59 +293,75 @@ func Plan(seed int64, n int) []Case {
 	return out
 }
 
+// Finding is one way a case failed its judge (a lockstep divergence or
+// a refuted predicate), with the still-fails test Shrink re-runs on
+// smaller pairs.
+type Finding struct {
+	Failure string                              // what the original case did wrong
+	Fails   func(MachineSpec, ProgramSpec) bool // does a smaller pair still fail this way?
+}
+
+// A Judge runs planned case i and returns its findings, none when the
+// case passes. An error means the case could not be judged at all.
+type Judge func(i int, c Case) ([]Finding, error)
+
 // runOne is indirected for worker-independence tests.
 var runOne = RunOne
 
-// Sweep plans and runs n configurations from a fixed seed on the
-// shared job runner (jobs=0 means GOMAXPROCS workers). Each divergence
-// is shrunk to a minimal reproduction; repros are returned in run-index
-// order regardless of completion order. progress (optional) receives
-// one call per run, delivered in index order. The returned error
-// aggregates harness-level failures (a panicking configuration, never
-// a mere divergence), lowest run index first.
-func Sweep(seed int64, n, jobs int, progress func(i int, failed bool)) ([]Repro, error) {
-	cases := Plan(seed, n)
-	repros := make([]*Repro, n)
-	failed := make([]bool, n)
+// Lockstep judges a case by running it in lockstep with the functional
+// emulator (RunOne); a divergence is its one finding.
+func Lockstep(_ int, c Case) ([]Finding, error) {
+	err := runOne(c.Machine, c.Program)
+	if err == nil {
+		return nil, nil
+	}
+	return []Finding{{
+		Failure: err.Error(),
+		Fails:   func(m MachineSpec, p ProgramSpec) bool { return runOne(m, p) != nil },
+	}}, nil
+}
 
-	// Deliver progress strictly in index order as runs complete.
+// errPanicked is the reported error of a case whose judge or shrink
+// panicked; Sweep's returned error carries the panic itself.
+var errPanicked = errors.New("verify: judge panicked")
+
+// Sweep judges every case on the shared job runner (jobs=0 means
+// GOMAXPROCS workers), shrinks each finding to a minimal repro with the
+// finding's own still-fails test, and hands each case's repros and
+// judge error to report, one call at a time in case-index order,
+// whatever order the cases finish in. The returned error aggregates
+// harness failures (a judge error or a panic, never a mere finding),
+// lowest case index first.
+func Sweep(cases []Case, jobs int, judge Judge, report func(i int, repros []Repro, err error)) error {
+	n := len(cases)
+	repros := make([][]Repro, n)
+	errs := make([]error, n)
+
 	var (
-		mu       sync.Mutex
-		done     = make([]bool, n)
-		nextTell = 0
+		mu   sync.Mutex
+		done = make([]bool, n)
+		next = 0
 	)
 	tell := func(i int) {
-		if progress == nil {
-			return
-		}
 		mu.Lock()
 		defer mu.Unlock()
 		done[i] = true
-		for nextTell < n && done[nextTell] {
-			progress(nextTell, failed[nextTell])
-			nextTell++
+		for ; next < n && done[next]; next++ {
+			report(next, repros[next], errs[next])
 		}
 	}
 
 	runner := simcache.Runner{Jobs: jobs, KeepGoing: true}
-	err := runner.Run(n, func(i int) error {
-		defer tell(i) // also on panic, so in-order progress never stalls
+	return runner.Run(n, func(i int) error {
+		errs[i] = errPanicked
+		defer tell(i) // also on panic, so in-order delivery never stalls
 		c := cases[i]
-		if err := runOne(c.Machine, c.Program); err != nil {
-			failed[i] = true
-			sm, sp := Shrink(c.Machine, c.Program, func(m MachineSpec, p ProgramSpec) bool {
-				return runOne(m, p) != nil
-			})
-			repros[i] = &Repro{Machine: sm, Program: sp, Failure: err.Error()}
+		findings, err := judge(i, c)
+		for _, f := range findings {
+			m, p := Shrink(c.Machine, c.Program, f.Fails)
+			repros[i] = append(repros[i], Repro{Machine: m, Program: p, Failure: f.Failure})
 		}
-		return nil
+		errs[i] = err
+		return err
 	})
-
-	var out []Repro
-	for _, r := range repros {
-		if r != nil {
-			out = append(out, *r)
-		}
-	}
-	return out, err
 }

@@ -3,15 +3,11 @@ package verify
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"vca/internal/progen"
 )
@@ -45,13 +41,14 @@ func TestSweepFixedSeed(t *testing.T) {
 	if testing.Short() {
 		n = 2
 	}
-	repros, err := Sweep(7, n, 0, nil)
+	err := Sweep(Plan(7, n), 0, Lockstep, func(_ int, repros []Repro, _ error) {
+		for _, r := range repros {
+			b, _ := json.MarshalIndent(r, "", "  ")
+			t.Errorf("sweep divergence:\n%s", b)
+		}
+	})
 	if err != nil {
 		t.Errorf("sweep harness failure: %v", err)
-	}
-	for _, r := range repros {
-		b, _ := json.MarshalIndent(r, "", "  ")
-		t.Errorf("sweep divergence:\n%s", b)
 	}
 }
 
@@ -59,102 +56,11 @@ func TestSampleSpecAlwaysConstructs(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for i := 0; i < 50; i++ {
 		ms, ps := SampleSpec(r)
-		if !ms.constructs() {
+		if !ms.Constructs() {
 			t.Fatalf("sampled spec does not construct: %+v", ms)
 		}
 		if ps.Gen.Blocks == 0 {
 			t.Fatalf("sampled program spec has no blocks: %+v", ps)
-		}
-	}
-}
-
-// TestPlanIndependentOfWorkerCount is the RNG-derivation regression
-// test: the sweep's sampled machines and program repro seeds must be a
-// pure function of (seed, n) — never of how many workers execute the
-// runs or in which order they finish. Plan samples sequentially up
-// front, so two plans agree exactly, and a parallel sweep visits the
-// same cases as a serial one.
-func TestPlanIndependentOfWorkerCount(t *testing.T) {
-	const n = 12
-	a, b := Plan(1234, n), Plan(1234, n)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Plan is not deterministic")
-	}
-	seeds := map[int64]bool{}
-	for _, c := range a {
-		seeds[c.Program.Seed] = true
-	}
-	if len(seeds) != n {
-		t.Errorf("program seeds not distinct: %d unique of %d", len(seeds), n)
-	}
-
-	// Stub the runner-facing entry point: record which cases each sweep
-	// executes and fail a fixed subset, so shrinking and repro assembly
-	// run too. The stub must be deterministic in the case content (not
-	// the call order) for the cross-worker comparison to be meaningful.
-	old := runOne
-	defer func() { runOne = old }()
-	var mu sync.Mutex
-	seen := map[int][]Case{} // jobs → executed cases, in run-index order
-	var jobs int
-	runOne = func(ms MachineSpec, ps ProgramSpec) error {
-		mu.Lock()
-		seen[jobs] = append(seen[jobs], Case{ms, ps})
-		mu.Unlock()
-		if ps.Seed%3 == 0 { // deterministic synthetic divergence
-			return errors.New("synthetic divergence")
-		}
-		return nil
-	}
-
-	var repros [][]Repro
-	for _, jobs = range []int{1, 4} {
-		rs, err := Sweep(1234, n, jobs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		repros = append(repros, rs)
-	}
-	if !reflect.DeepEqual(repros[0], repros[1]) {
-		t.Errorf("repro lists differ between 1 and 4 workers:\n%+v\nvs\n%+v", repros[0], repros[1])
-	}
-	// Same top-level cases executed (order may differ under 4 workers;
-	// shrink probes append too, so compare the planned prefix as sets).
-	for _, jobs := range []int{1, 4} {
-		got := map[int64]bool{}
-		for _, c := range seen[jobs] {
-			got[c.Program.Seed] = true
-		}
-		for _, c := range a {
-			if !got[c.Program.Seed] {
-				t.Errorf("jobs=%d: planned case with seed %d never ran", jobs, c.Program.Seed)
-			}
-		}
-	}
-}
-
-// TestSweepProgressInOrder: progress callbacks arrive strictly in run
-// order even when completions race.
-func TestSweepProgressInOrder(t *testing.T) {
-	old := runOne
-	defer func() { runOne = old }()
-	runOne = func(ms MachineSpec, ps ProgramSpec) error {
-		time.Sleep(time.Duration(ps.Seed%5) * time.Millisecond)
-		return nil
-	}
-	const n = 16
-	var got []int
-	if _, err := Sweep(9, n, 4, func(i int, failed bool) {
-		got = append(got, i) // serialized by Sweep's ordered delivery
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != n {
-		t.Fatalf("progress fired %d times, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("progress out of order at %d: %v", i, got)
 		}
 	}
 }
