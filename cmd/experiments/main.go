@@ -87,7 +87,7 @@ func main() {
 	}
 
 	experiments.SetJobs(*flagJobs)
-	if *flagCache {
+	if needsCache() {
 		cache, err := simcache.Open(*flagCacheDir)
 		check(err)
 		if *flagCacheClear {
@@ -165,6 +165,16 @@ func checkFlags(fs *flag.FlagSet) error {
 		return errors.New("-cachedir, -cacheclear and -cachestats require -cache")
 	}
 	return nil
+}
+
+// needsCache reports whether the run opens the result cache: only the
+// figures simulate through it (-table1 prints parameters, -table2 runs
+// functional profiles, and -sweep and -counterpoint always simulate
+// fresh), while -cacheclear and -cachestats act on the store itself.
+// Opening it creates its directory, so a run that needs none leaves none.
+func needsCache() bool {
+	figs := *flagAll || *flagFig4 || *flagFig5 || *flagFig6 || *flagFig7 || *flagFig8
+	return *flagCache && (figs || *flagCacheClear || *flagCacheStats != "")
 }
 
 // sweep runs the config-space lockstep verification sweep and exits

@@ -42,6 +42,41 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
+// TestNeedsCache pins which runs open the result cache (and so create
+// its directory): the figures and the store's own flags do, the runs
+// that never simulate through it do not.
+func TestNeedsCache(t *testing.T) {
+	cases := []struct {
+		args []string
+		want bool
+	}{
+		{[]string{"-all"}, true},
+		{[]string{"-fig4"}, true},
+		{[]string{"-fig5", "-cachedir", "d"}, true},
+		{[]string{"-fig6"}, true},
+		{[]string{"-fig7"}, true},
+		{[]string{"-fig8"}, true},
+		{[]string{"-cacheclear"}, true},
+		{[]string{"-sweep", "1", "-cachestats", "s.json"}, true},
+		{[]string{"-table1"}, false},
+		{[]string{"-table2"}, false},
+		{[]string{"-table1", "-table2", "-cachedir", "d"}, false},
+		{[]string{"-sweep", "1"}, false},
+		{[]string{"-counterpoint"}, false},
+		{[]string{"-counterpoint", "-sweepseed", "3", "-cpreport", "r.json"}, false},
+		{[]string{"-fig4", "-cache=false"}, false},
+		{[]string{"-all", "-cache=false"}, false},
+	}
+	for _, c := range cases {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			parseFlags(t, c.args)
+			if got := needsCache(); got != c.want {
+				t.Errorf("needsCache() = %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
 // parseFlags resets every flag of the command to its default and parses
 // args into a fresh FlagSet that shares the command's flag variables, so
 // that Visit reports only the flags in args.

@@ -1,16 +1,21 @@
 package analysis
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -26,22 +31,67 @@ type Package struct {
 	Ann       *Annotations
 }
 
-// Loader type-checks package directories from source. It wraps the
-// standard library's source importer (go/importer "source" mode), which
-// resolves module-internal import paths through the go command and
-// type-checks dependencies from source — no export data and no
-// third-party loader needed. Dependencies are cached across Load calls,
-// so loading every package in the repo pays for each shared dependency
-// once.
+// Loader type-checks package directories from source. Their imports
+// come from the go command's export data (go list -export), read by the
+// standard library's gc importer: dependencies, the standard library
+// included, are compiled once into the build cache instead of being
+// type-checked from source for every run. Nothing is fetched, so the
+// loader works offline. Export data is located per Load for the imports
+// not yet known and cached across Load calls, so loading every package
+// in the repo lists each shared dependency once.
 type Loader struct {
-	Fset *token.FileSet
-	imp  types.Importer
+	Fset    *token.FileSet
+	imp     types.Importer
+	exports map[string]string // import path -> export data file
 }
 
 // NewLoader returns a Loader with a fresh FileSet and dependency cache.
 func NewLoader() *Loader {
-	fset := token.NewFileSet()
-	return &Loader{Fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+	l := &Loader{Fset: token.NewFileSet(), exports: map[string]string{}}
+	l.imp = importer.ForCompiler(l.Fset, "gc", l.lookup)
+	return l
+}
+
+// lookup opens an import's export data for the gc importer.
+func (l *Loader) lookup(path string) (io.ReadCloser, error) {
+	file, ok := l.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("analysis: no export data for %q", path)
+	}
+	return os.Open(file)
+}
+
+// listExports records the export data files of the given import paths
+// and all their dependencies, resolved from the module containing dir.
+func (l *Loader) listExports(dir string, paths []string) error {
+	if len(paths) == 0 {
+		return nil
+	}
+	cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-json=ImportPath,Export,Error", "--"}, paths...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("analysis: go list -export in %s: %v: %s", dir, err, stderr.Bytes())
+	}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for dec.More() {
+		var p struct {
+			ImportPath, Export string
+			Error              *struct{ Err string }
+		}
+		if err := dec.Decode(&p); err != nil {
+			return fmt.Errorf("analysis: decoding go list output: %w", err)
+		}
+		if p.Error != nil {
+			return fmt.Errorf("analysis: go list %s: %s", p.ImportPath, p.Error.Err)
+		}
+		if p.Export != "" {
+			l.exports[p.ImportPath] = p.Export
+		}
+	}
+	return nil
 }
 
 // Load parses and type-checks the non-test Go files of dir as import
@@ -64,6 +114,9 @@ func (l *Loader) Load(dir, path string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
+	if err := l.listExports(dir, l.unknownImports(files)); err != nil {
+		return nil, err
+	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -84,6 +137,25 @@ func (l *Loader) Load(dir, path string) (*Package, error) {
 		TypesInfo: info,
 		Ann:       indexAnnotations(l.Fset, files),
 	}, nil
+}
+
+// unknownImports returns the sorted distinct imports of files whose
+// export data the loader has not listed yet.
+func (l *Loader) unknownImports(files []*ast.File) []string {
+	var paths []string
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			p, err := strconv.Unquote(spec.Path.Value)
+			if err != nil || p == "unsafe" || p == "C" {
+				continue
+			}
+			if _, ok := l.exports[p]; !ok && !slices.Contains(paths, p) {
+				paths = append(paths, p)
+			}
+		}
+	}
+	slices.Sort(paths)
+	return paths
 }
 
 // GoFiles lists the non-test .go file names of dir in sorted order.

@@ -190,7 +190,7 @@ func (m *Machine) registerMetrics() {
 	cnt.robOcc = make([]metrics.Occupancy, m.cfg.Threads)
 	cnt.lsqOcc = make([]metrics.Occupancy, m.cfg.Threads)
 	for t := 0; t < m.cfg.Threads; t++ {
-		legacy(fmt.Sprintf("core.commit.insts.t%d", t), "insts", "instructions committed by this thread", &m.stats.Committed[t])
+		legacy(fmt.Sprintf("core.commit.insts.t%d", t), "insts", "instructions committed by this thread", &m.threads[t].committed)
 		reg.RegisterOccupancy(fmt.Sprintf("core.occ.rob.t%d", t), "entries", "this thread's ROB residency, sampled per cycle", &cnt.robOcc[t])
 		reg.RegisterOccupancy(fmt.Sprintf("core.occ.lsq.t%d", t), "entries", "this thread's LSQ store residency, sampled per cycle", &cnt.lsqOcc[t])
 	}

@@ -134,7 +134,7 @@ func (m *Machine) buildFast() {
 			f.dest = writeCell[mt.Dest]
 			f.destReg = mt.Dest
 			if mt.HasImm {
-				f.imm = mt.Imm
+				f.imm = mt.ImmOperand()
 			} else {
 				f.srcB = readCell[mt.SrcB]
 			}

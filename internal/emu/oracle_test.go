@@ -37,7 +37,7 @@ func (m *Machine) oracleStepInto(info *StepInfo) error {
 		a := m.ReadReg(mt.SrcA)
 		var b uint64
 		if mt.HasImm {
-			b = mt.Imm
+			b = mt.ImmOperand()
 		} else {
 			b = m.ReadReg(mt.SrcB)
 		}
