@@ -3,6 +3,7 @@ package rename
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -408,8 +409,9 @@ func TestVCARSIDFlushSetOrder(t *testing.T) {
 }
 
 // Property test: a random interleaving of rename/commit/squash/release
-// operations never violates the state-machine invariants, never leaks
-// registers, and replays of committed state stay reachable.
+// operations never violates the state-machine invariants (checked after
+// every step), never leaks registers, and replays of committed state stay
+// reachable.
 func TestVCARandomizedStateMachine(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
@@ -431,7 +433,7 @@ func TestVCARandomizedStateMachine(t *testing.T) {
 		addrOf := func() uint64 { return uint64(0x1000 + 8*rng.Intn(40)) }
 
 		for step := 0; step < 3000; step++ {
-			switch rng.Intn(10) {
+			switch rng.Intn(9) {
 			case 0, 1, 2, 3: // rename a new instruction
 				var ops []MemOp
 				in := inflight{addr: addrOf(), destPrev: PhysNone, destPhys: PhysNone}
@@ -492,11 +494,9 @@ func TestVCARandomizedStateMachine(t *testing.T) {
 					}
 				}
 				pipe = pipe[:from]
-
-			case 9: // invariant check
-				if err := v.CheckInvariants(); err != nil {
-					t.Fatalf("trial %d step %d: %v", trial, step, err)
-				}
+			}
+			if err := v.CheckInvariants(); err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 		}
 		// Drain: commit everything, then all registers must be
@@ -518,6 +518,37 @@ func TestVCARandomizedStateMachine(t *testing.T) {
 				t.Fatalf("trial %d: register %d still pinned after drain", trial, p)
 			}
 		}
+	}
+}
+
+// CheckInvariants rejects a table holding two entries for one address:
+// lookup returns the first, so the second would map a stale version.
+func TestVCACheckInvariantsDuplicateEntry(t *testing.T) {
+	v := NewVCA(DefaultVCAConfig(1, 8))
+	var ops []MemOp
+	const addr = 0x100
+	p1, _, ok := v.RenameDest(addr, &ops)
+	if !ok {
+		t.Fatal("rename stalled")
+	}
+	if _, _, ok := v.RenameDest(addr, &ops); !ok { // retargets p1's entry
+		t.Fatal("rename stalled")
+	}
+	if err := v.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// p1 still holds addr (the squash-recovery version); give it a second
+	// entry in the address's set.
+	ways := v.ways(addr)
+	for i := range ways {
+		if ways[i] == 0 {
+			ways[i] = mapTo(p1)
+			break
+		}
+	}
+	err := v.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "two table entries") {
+		t.Fatalf("CheckInvariants = %v, want a two-table-entries error", err)
 	}
 }
 
