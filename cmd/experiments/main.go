@@ -24,7 +24,6 @@ import (
 	"runtime/pprof"
 	"text/tabwriter"
 
-	"vca/internal/core"
 	"vca/internal/experiments"
 	"vca/internal/simcache"
 	"vca/internal/verify"
@@ -228,7 +227,7 @@ func check(err error) {
 }
 
 func table1() {
-	cfg := core.DefaultConfig(core.RenameConventional, core.WindowNone, 1, 256)
+	cfg, _ := experiments.ArchBaseline.Config(1, 256, 2)
 	fmt.Println("== Table 1: baseline processor parameters ==")
 	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "Machine width\t%d\n", cfg.Width)
@@ -270,7 +269,7 @@ func printSweep(title, metric string, cells []experiments.SweepCell, pick func(e
 	}
 	fmt.Fprintln(w)
 	for _, a := range experiments.RegWindowArchs {
-		fmt.Fprintf(w, "%s\t", a)
+		fmt.Fprintf(w, "%s\t", a.Label())
 		for _, r := range experiments.RegWindowSizes {
 			if c, ok := experiments.Cell(cells, a, r); ok {
 				fmt.Fprintf(w, "%.3f\t", pick(c))

@@ -24,13 +24,13 @@ import (
 	"strings"
 
 	vca "vca"
-	"vca/internal/minic"
+	"vca/internal/experiments"
 	"vca/internal/workload"
 )
 
 var (
 	flagProgs = flag.String("bench", "crafty", "comma-separated benchmark names (one per thread)")
-	flagArch  = flag.String("arch", "baseline", "baseline | conv-windowed | ideal-windowed | vca-flat | vca-windowed")
+	flagArch  = flag.String("arch", "baseline", strings.Join(experiments.ArchNames(), " | "))
 	flagRegs  = flag.Int("regs", 256, "physical register file size")
 	flagPorts = flag.Int("ports", 2, "data cache ports")
 	flagStop  = flag.Uint64("stop", 0, "stop after any thread commits N instructions (0 = run to exit)")
@@ -70,21 +70,11 @@ func main() {
 		return
 	}
 
-	arch, ok := map[string]vca.Arch{
-		"baseline":       vca.Baseline,
-		"conv-windowed":  vca.ConvWindowed,
-		"ideal-windowed": vca.IdealWindowed,
-		"vca-flat":       vca.VCAFlat,
-		"vca-windowed":   vca.VCAWindowed,
-	}[*flagArch]
+	arch, ok := experiments.ArchByName(*flagArch)
 	if !ok {
-		fail(fmt.Errorf("unknown architecture %q", *flagArch))
+		fail(fmt.Errorf("unknown architecture %q (want one of %s)", *flagArch, strings.Join(experiments.ArchNames(), ", ")))
 	}
 
-	abi := minic.ABIFlat
-	if arch.Windowed() {
-		abi = minic.ABIWindowed
-	}
 	var progs []*vca.Program
 	var names []string
 	for _, name := range strings.Split(*flagProgs, ",") {
@@ -92,7 +82,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		p, err := b.Build(abi)
+		p, err := b.Build(arch.ABI())
 		if err != nil {
 			fail(err)
 		}

@@ -54,7 +54,7 @@ func ckRegValue(ck *emu.Checkpoint, r isa.Reg) uint64 {
 // architectural state. It must be called after New and before Run: the
 // machine must not have simulated a cycle yet. When the invariant
 // checker is enabled (Config.Check), injection immediately round-trips
-// the state through ExtractCheckpoint and fails on any difference — the
+// the state through extractCheckpoint and fails on any difference — the
 // state-transplant audit.
 func (m *Machine) InjectCheckpoint(t int, ck *emu.Checkpoint) error {
 	if t < 0 || t >= len(m.threads) {
@@ -146,7 +146,7 @@ func (m *Machine) InjectCheckpoint(t int, ck *emu.Checkpoint) error {
 	}
 
 	if m.cfg.Check && th.ref != nil {
-		ex, err := m.ExtractCheckpoint(t)
+		ex, err := m.extractCheckpoint(t)
 		if err != nil {
 			return fmt.Errorf("core: state-transplant audit: %w", err)
 		}
@@ -157,7 +157,7 @@ func (m *Machine) InjectCheckpoint(t int, ck *emu.Checkpoint) error {
 	return nil
 }
 
-// ExtractCheckpoint reads thread t's committed architectural state out
+// extractCheckpoint reads thread t's committed architectural state out
 // of the detailed machine as a checkpoint image. It requires
 // co-simulation (the golden model carries the execution provenance —
 // cumulative instruction statistics and program output — and serves as
@@ -168,13 +168,13 @@ func (m *Machine) InjectCheckpoint(t int, ck *emu.Checkpoint) error {
 // own checkpoint before being returned: any difference means the
 // detailed machine's committed state diverged from architectural truth,
 // and extraction fails rather than propagating it.
-func (m *Machine) ExtractCheckpoint(t int) (*emu.Checkpoint, error) {
+func (m *Machine) extractCheckpoint(t int) (*emu.Checkpoint, error) {
 	if t < 0 || t >= len(m.threads) {
 		return nil, fmt.Errorf("core: no thread %d", t)
 	}
 	th := m.threads[t]
 	if th.ref == nil {
-		return nil, fmt.Errorf("core: ExtractCheckpoint requires co-simulation (Config.CoSim)")
+		return nil, fmt.Errorf("core: extractCheckpoint requires co-simulation (Config.CoSim)")
 	}
 	if th.injectedLive > 0 || th.injectPending() > 0 {
 		return nil, fmt.Errorf("core: thread %d has a window trap in flight; committed window state is incomplete", t)

@@ -138,7 +138,7 @@ func TestExtractCheckpointResume(t *testing.T) {
 								c.budget, res.WindowTraps, prev.WindowTraps)
 						}
 					}
-					ck, err := m.ExtractCheckpoint(0)
+					ck, err := m.extractCheckpoint(0)
 					if err != nil {
 						t.Fatalf("extract: %v", err)
 					}
@@ -195,7 +195,7 @@ func TestInjectExtractIdentity(t *testing.T) {
 			if err := m.InjectCheckpoint(0, ck); err != nil {
 				t.Fatalf("inject: %v", err)
 			}
-			out, err := m.ExtractCheckpoint(0)
+			out, err := m.extractCheckpoint(0)
 			if err != nil {
 				t.Fatalf("extract: %v", err)
 			}

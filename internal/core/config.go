@@ -13,9 +13,12 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"io"
 
 	"vca/internal/branch"
+	"vca/internal/isa"
 	"vca/internal/mem"
 	"vca/internal/metrics"
 	"vca/internal/rename"
@@ -69,6 +72,10 @@ func (w WindowModel) String() string {
 	}
 	return "no-window"
 }
+
+// Windowed reports whether the model runs windowed-ABI binaries: every
+// model but WindowNone.
+func (w WindowModel) Windowed() bool { return w != WindowNone }
 
 // Config assembles a machine. DefaultConfig reproduces Table 1.
 type Config struct {
@@ -124,7 +131,7 @@ type Config struct {
 	// StopExact freezes commit per thread exactly at the StopAfter
 	// budget instead of finishing the commit group (plain StopAfter can
 	// overshoot by up to Width-1 instructions in the stopping cycle).
-	// ExtractCheckpoint needs the exact boundary to produce the image at
+	// extractCheckpoint needs the exact boundary to produce the image at
 	// a known instruction count; when the budget lands on a window
 	// trap, the run drains the trap's injected operations before
 	// stopping so committed window state is complete at the boundary.
@@ -185,7 +192,16 @@ func DefaultConfig(rm RenameModel, wm WindowModel, threads, physRegs int) Config
 	return cfg
 }
 
-// Validate rejects inconsistent combinations.
+// ErrInfeasible marks a well-formed configuration whose register file is
+// too small for its threads' logical registers: the paper's "No
+// Baseline" regions. Validate's refusals of this kind satisfy
+// errors.Is(err, ErrInfeasible); every other refusal is a malformed
+// configuration.
+var ErrInfeasible = errors.New("core: register file too small for the machine")
+
+// Validate rejects inconsistent combinations, and machines that cannot
+// be built at their register-file size (ErrInfeasible). New calls it
+// first; past it, New refuses only programs that do not fit the config.
 func (c *Config) Validate() error {
 	switch c.Window {
 	case WindowConventional:
@@ -206,10 +222,40 @@ func (c *Config) Validate() error {
 		// (one pinned source blocking the other's way forever).
 		return errConfig("VCA rename table needs associativity >= 2 to avoid deadlock")
 	}
+	if c.Rename == RenameConventional {
+		nwin, logical := c.convFile()
+		if c.Window == WindowConventional && nwin < 1 {
+			return infeasibleError(fmt.Sprintf("core: %d physical registers cannot hold any register window (need >= %d)",
+				c.PhysRegs, 64+isa.GlobalSlots+isa.WindowSlots))
+		}
+		if need := c.Threads * logical; c.PhysRegs < need+1 {
+			return infeasibleError(fmt.Sprintf("rename: conventional machine needs > %d physical registers for %d threads × %d logical, have %d",
+				need, c.Threads, logical, c.PhysRegs))
+		}
+	}
 	return nil
+}
+
+// convFile sizes a conventional machine's per-thread logical register
+// file. Without windows it is the architectural registers; with
+// WindowConventional it is the globals plus nwin whole windows, as many
+// as fit in the register file after 64 rename registers (whatever the
+// thread count).
+func (c *Config) convFile() (nwin, logical int) {
+	if c.Window != WindowConventional {
+		return 0, isa.NumArchRegs
+	}
+	nwin = (c.PhysRegs - 64 - isa.GlobalSlots) / isa.WindowSlots
+	return nwin, isa.GlobalSlots + nwin*isa.WindowSlots
 }
 
 type configError string
 
 func errConfig(s string) error      { return configError(s) }
 func (e configError) Error() string { return "core: " + string(e) }
+
+// infeasibleError is a Validate refusal that is ErrInfeasible.
+type infeasibleError string
+
+func (e infeasibleError) Error() string      { return string(e) }
+func (infeasibleError) Is(target error) bool { return target == ErrInfeasible }

@@ -164,7 +164,7 @@ func New(cfg Config, progs []*program.Program, windowed bool) (*Machine, error) 
 	if len(progs) != cfg.Threads {
 		return nil, fmt.Errorf("core: %d programs for %d threads", len(progs), cfg.Threads)
 	}
-	if windowed != (cfg.Window != WindowNone) {
+	if windowed != cfg.Window.Windowed() {
 		return nil, fmt.Errorf("core: windowed-binary flag %v does not match window model %v", windowed, cfg.Window)
 	}
 	if cfg.MaxCycles == 0 {
@@ -195,15 +195,8 @@ func New(cfg Config, progs []*program.Program, windowed bool) (*Machine, error) 
 	// Rename substrate.
 	switch cfg.Rename {
 	case RenameConventional:
-		logical := isa.NumArchRegs
-		if cfg.Window == WindowConventional {
-			m.nwin = (cfg.PhysRegs - 64 - isa.GlobalSlots) / isa.WindowSlots
-			if m.nwin < 1 {
-				return nil, fmt.Errorf("core: %d physical registers cannot hold any register window (need >= %d)",
-					cfg.PhysRegs, 64+isa.GlobalSlots+isa.WindowSlots)
-			}
-			logical = isa.GlobalSlots + m.nwin*isa.WindowSlots
-		}
+		var logical int
+		m.nwin, logical = cfg.convFile()
 		conv, err := rename.NewConventional(cfg.Threads, logical, cfg.PhysRegs)
 		if err != nil {
 			return nil, err
@@ -271,20 +264,14 @@ func (m *Machine) initRegs(th *thread) {
 	}
 	if m.cfg.Rename == RenameConventional {
 		// All pre-allocated mappings start ready with value zero.
-		for l := 0; l < m.convLogicalCount(); l++ {
+		_, logical := m.cfg.convFile()
+		for l := 0; l < logical; l++ {
 			p := m.conv.Lookup(th.id, l)
 			m.physVal[p] = 0
 			m.physReady[p] = true
 		}
 	}
 	setReg(isa.RegSP, program.StackTop)
-}
-
-func (m *Machine) convLogicalCount() int {
-	if m.cfg.Window == WindowConventional {
-		return isa.GlobalSlots + m.nwin*isa.WindowSlots
-	}
-	return isa.NumArchRegs
 }
 
 // winSlotLogical returns the logical index of window slot s at depth d.

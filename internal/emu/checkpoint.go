@@ -1,9 +1,9 @@
 // Checkpoints: serializable, versioned, content-addressable images of a
 // functional machine's complete architectural state. A checkpoint is the
 // handoff format between the fast functional engine and the detailed
-// core (fast-forward warmup, vcasim -checkpoint/-restore), and the
-// detailed core can extract one at an exact instruction boundary
-// (core.Machine.ExtractCheckpoint).
+// core (fast-forward warmup, vcasim -checkpoint/-restore). The detailed
+// core reads one back out of its committed state to audit each
+// injection (core.Machine.InjectCheckpoint under Config.Check).
 //
 // The image holds exactly the state the ISA defines — PC, globals, the
 // window-frame stack, sparse memory pages — plus execution provenance

@@ -4,11 +4,14 @@
 //
 // The pieces, one file each:
 //
-//   - arch.go — the Arch enumeration (baseline, conventional/ideal
-//     register windows, VCA flat/windowed) and its Config builder, the
-//     single place the paper's Table 1 machines are parameterized. An
-//     Arch that cannot operate at a requested register-file size
-//     reports ok=false ("No Baseline" in the figures).
+//   - arch.go — the machine table: the paper's five machines (baseline,
+//     conventional/ideal register windows, VCA flat/windowed), each with
+//     its API name, figure label, rename model and window model. Arch
+//     names a row; Arch.Config builds its Table 1 configuration, and an
+//     Arch that core refuses to build at a requested register-file size
+//     (core.ErrInfeasible) reports ok=false ("No Baseline" in the
+//     figures). The vca facade, the sweep service and cmd/vcasim all
+//     name machines through this table.
 //   - regwin.go — the single-thread register-window sweeps
 //     (Figures 4-6) and their weighted cache-access reduction (§4.3).
 //   - smt.go — multiprogrammed SMT sweeps (Figures 7-8) over the
@@ -20,11 +23,12 @@
 // and optional result cache (SetJobs/SetCache), so sweeps parallelize
 // and memoize uniformly. Consumers: cmd/experiments (human-readable
 // tables), the repository benchmark harness (bench_test.go), and the
-// sweep service (internal/server), which reuses the Arch builder for
-// its HTTP job API.
+// sweep service (internal/server), which resolves its HTTP job API's
+// arch names through ArchByName.
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"vca/internal/core"
@@ -50,11 +54,11 @@ func SetJobs(n int) { runner.Jobs = n }
 // (nil disables memoization).
 func SetCache(c *simcache.Cache) { cache = c }
 
-// Arch enumerates the compared architectures.
+// Arch names one of the paper's five machines: a row of archTable.
 type Arch int
 
 const (
-	// ArchBaseline is the conventional non-windowed machine (flat ABI).
+	// ArchBaseline is the conventional non-windowed machine (Table 1).
 	ArchBaseline Arch = iota
 	// ArchConvWindow is the conventional register-window machine with
 	// trap-based overflow handling (§4.1).
@@ -62,61 +66,85 @@ const (
 	// ArchIdealWindow handles window spills/fills instantaneously without
 	// cache traffic (the lower bound of §4.1).
 	ArchIdealWindow
-	// ArchVCAWindow is VCA running windowed binaries.
-	ArchVCAWindow
 	// ArchVCAFlat is VCA running flat binaries (the SMT study of §4.2).
 	ArchVCAFlat
+	// ArchVCAWindow is VCA running windowed binaries (§2.1.5).
+	ArchVCAWindow
 )
 
-func (a Arch) String() string {
-	switch a {
-	case ArchBaseline:
-		return "baseline"
-	case ArchConvWindow:
-		return "register window"
-	case ArchIdealWindow:
-		return "ideal"
-	case ArchVCAWindow:
-		return "vca"
-	case ArchVCAFlat:
-		return "vca (flat)"
-	}
-	return "?"
+// archTable is the one machine table, in API order (ArchNames). name is
+// the API name (the sweep service, cmd/vcasim -arch, stats headers);
+// label names the machine's series in the figures. The binary flavor
+// follows from the window model.
+var archTable = [...]struct {
+	name, label string
+	rename      core.RenameModel
+	window      core.WindowModel
+}{
+	ArchBaseline:    {"baseline", "baseline", core.RenameConventional, core.WindowNone},
+	ArchConvWindow:  {"conv-windowed", "register window", core.RenameConventional, core.WindowConventional},
+	ArchIdealWindow: {"ideal-windowed", "ideal", core.RenameVCA, core.WindowIdeal},
+	ArchVCAFlat:     {"vca-flat", "vca (flat)", core.RenameVCA, core.WindowNone},
+	ArchVCAWindow:   {"vca-windowed", "vca", core.RenameVCA, core.WindowVCA},
 }
+
+// ArchNames returns every machine's API name, in table order.
+func ArchNames() []string {
+	names := make([]string, len(archTable))
+	for i, row := range archTable {
+		names[i] = row.name
+	}
+	return names
+}
+
+// ArchByName returns the machine with the given API name.
+func ArchByName(name string) (Arch, bool) {
+	for i, row := range archTable {
+		if row.name == name {
+			return Arch(i), true
+		}
+	}
+	return 0, false
+}
+
+func (a Arch) known() bool { return a >= 0 && int(a) < len(archTable) }
+
+// String returns the machine's API name ("?" for an Arch outside the
+// table).
+func (a Arch) String() string {
+	if !a.known() {
+		return "?"
+	}
+	return archTable[a].name
+}
+
+// Label returns the machine's series name in the figures.
+func (a Arch) Label() string {
+	if !a.known() {
+		return "?"
+	}
+	return archTable[a].label
+}
+
+// Windowed reports whether the machine executes windowed binaries.
+func (a Arch) Windowed() bool { return archTable[a].window.Windowed() }
 
 // ABI returns the binary flavor the architecture executes.
 func (a Arch) ABI() minic.ABI {
-	switch a {
-	case ArchConvWindow, ArchIdealWindow, ArchVCAWindow:
+	if a.Windowed() {
 		return minic.ABIWindowed
 	}
 	return minic.ABIFlat
 }
 
-// Config builds the core configuration, or ok=false when the architecture
-// cannot operate at this size (the paper's "No Baseline" regions).
+// Config builds the machine's Table 1 configuration. ok=false exactly
+// when core refuses to build it at this size (core.ErrInfeasible): the
+// paper's "No Baseline" regions.
 func (a Arch) Config(threads, physRegs, dl1Ports int) (core.Config, bool) {
-	var cfg core.Config
-	switch a {
-	case ArchBaseline:
-		cfg = core.DefaultConfig(core.RenameConventional, core.WindowNone, threads, physRegs)
-		if physRegs <= threads*64 {
-			return cfg, false
-		}
-	case ArchConvWindow:
-		cfg = core.DefaultConfig(core.RenameConventional, core.WindowConventional, threads, physRegs)
-		if (physRegs-64-32)/32 < 1 {
-			return cfg, false
-		}
-	case ArchIdealWindow:
-		cfg = core.DefaultConfig(core.RenameVCA, core.WindowIdeal, threads, physRegs)
-	case ArchVCAWindow:
-		cfg = core.DefaultConfig(core.RenameVCA, core.WindowVCA, threads, physRegs)
-	case ArchVCAFlat:
-		cfg = core.DefaultConfig(core.RenameVCA, core.WindowNone, threads, physRegs)
-	}
+	row := archTable[a]
+	cfg := core.DefaultConfig(row.rename, row.window, threads, physRegs)
 	cfg.Hier.DL1Ports = dl1Ports
-	return cfg, true
+	return cfg, !errors.Is(cfg.Validate(), core.ErrInfeasible)
 }
 
 // Metrics are the per-run quantities the figures reduce.
@@ -138,32 +166,33 @@ type Metrics struct {
 
 // RunSingle runs one benchmark alone on an architecture.
 func RunSingle(b workload.Benchmark, arch Arch, physRegs, dl1Ports int, stopAfter uint64) (Metrics, error) {
-	cfg, ok := arch.Config(1, physRegs, dl1Ports)
-	if !ok {
-		return Metrics{}, nil
-	}
-	prog, err := b.Build(arch.ABI())
-	if err != nil {
-		return Metrics{}, err
-	}
-	return runMachine(cfg, []*program.Program{prog}, arch.ABI() == minic.ABIWindowed, stopAfter)
+	return RunSMT([]workload.Benchmark{b}, arch, physRegs, dl1Ports, stopAfter)
 }
 
-// RunSMT runs a multiprogrammed workload.
+// RunSMT runs a multiprogrammed workload, one benchmark per thread.
 func RunSMT(benches []workload.Benchmark, arch Arch, physRegs, dl1Ports int, stopAfter uint64) (Metrics, error) {
 	cfg, ok := arch.Config(len(benches), physRegs, dl1Ports)
 	if !ok {
 		return Metrics{}, nil
 	}
+	progs, err := buildPrograms(arch, benches)
+	if err != nil {
+		return Metrics{}, err
+	}
+	return runMachine(cfg, progs, arch.Windowed(), stopAfter)
+}
+
+// buildPrograms builds one program per thread in the machine's ABI.
+func buildPrograms(arch Arch, benches []workload.Benchmark) ([]*program.Program, error) {
 	progs := make([]*program.Program, len(benches))
 	for i, b := range benches {
 		p, err := b.Build(arch.ABI())
 		if err != nil {
-			return Metrics{}, err
+			return nil, err
 		}
 		progs[i] = p
 	}
-	return runMachine(cfg, progs, arch.ABI() == minic.ABIWindowed, stopAfter)
+	return progs, nil
 }
 
 func runMachine(cfg core.Config, progs []*program.Program, windowed bool, stopAfter uint64) (Metrics, error) {

@@ -13,8 +13,6 @@ import (
 	"fmt"
 
 	"vca/internal/emu"
-	"vca/internal/minic"
-	"vca/internal/program"
 	"vca/internal/simcache"
 	"vca/internal/verify"
 	"vca/internal/workload"
@@ -53,7 +51,7 @@ func CounterpointMatrix() []MatrixCell {
 		}
 		for _, w := range workload.All() {
 			cells = append(cells, MatrixCell{
-				Name:      fmt.Sprintf("%s/%s", arch, w.Name),
+				Name:      fmt.Sprintf("%s/%s", arch.Label(), w.Name),
 				Arch:      arch,
 				Workloads: []string{w.Name},
 				PhysRegs:  regs,
@@ -113,9 +111,15 @@ func RunMatrixCell(c MatrixCell, stop uint64, cc *simcache.Cache) (counters, par
 	}
 	cfg.StopAfter = stop
 	cfg.MaxCycles = 1 << 34
-	windowed := c.Arch.ABI() == minic.ABIWindowed
+	windowed := c.Arch.Windowed()
 
-	progs, err := buildPrograms(c.Arch, c.Workloads)
+	benches := make([]workload.Benchmark, len(c.Workloads))
+	for i, name := range c.Workloads {
+		if benches[i], err = workload.ByName(name); err != nil {
+			return nil, nil, fmt.Errorf("counterpoint: %s: %w", c.Name, err)
+		}
+	}
+	progs, err := buildPrograms(c.Arch, benches)
 	if err != nil {
 		return nil, nil, fmt.Errorf("counterpoint: %s: %w", c.Name, err)
 	}
@@ -144,20 +148,4 @@ func RunMatrixCell(c MatrixCell, stop uint64, cc *simcache.Cache) (counters, par
 		return nil, nil, fmt.Errorf("counterpoint: %s: %w", c.Name, err)
 	}
 	return counters, verify.ConfigParams(cfg), nil
-}
-
-func buildPrograms(arch Arch, names []string) ([]*program.Program, error) {
-	progs := make([]*program.Program, len(names))
-	for i, name := range names {
-		b, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		p, err := b.Build(arch.ABI())
-		if err != nil {
-			return nil, err
-		}
-		progs[i] = p
-	}
-	return progs, nil
 }

@@ -110,9 +110,9 @@ func TestRegWindowSweepShapes(t *testing.T) {
 
 	for _, c := range cells {
 		if c.Valid {
-			t.Logf("%-16s regs=%3d time=%.3f accesses=%.3f", c.Arch, c.PhysRegs, c.NormTime, c.NormAccesses)
+			t.Logf("%-16s regs=%3d time=%.3f accesses=%.3f", c.Arch.Label(), c.PhysRegs, c.NormTime, c.NormAccesses)
 		} else {
-			t.Logf("%-16s regs=%3d (cannot run)", c.Arch, c.PhysRegs)
+			t.Logf("%-16s regs=%3d (cannot run)", c.Arch.Label(), c.PhysRegs)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func RegWindowSweep(dl1Ports int, stopAfter uint64) ([]SweepCell, error) {
 		for i, b := range benches {
 			met, err := RunSingle(b, jb.arch, jb.regs, dl1Ports, stopAfter)
 			if err != nil {
-				return fmt.Errorf("%v/%d/%s: %w", jb.arch, jb.regs, b.Name, err)
+				return fmt.Errorf("%s/%d/%s: %w", jb.arch.Label(), jb.regs, b.Name, err)
 			}
 			if !met.Valid {
 				cells[j] = cell // Valid stays false

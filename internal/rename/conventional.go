@@ -135,7 +135,7 @@ func (c *Conventional) CommitDest(t, logical, newPhys int) {
 // CommittedLookup returns the committed (architectural) mapping of a
 // logical register — the physical register holding its last committed
 // value, regardless of in-flight speculative renames. Used by
-// architectural-state extraction (core.ExtractCheckpoint).
+// architectural-state extraction (core's checkpoint-injection audit).
 func (c *Conventional) CommittedLookup(t, logical int) int { return c.arch[t][logical] }
 
 // RollbackDest undoes a squashed destination rename. Records must be

@@ -445,7 +445,7 @@ func (v *VCA) CommitDest(addr uint64, phys, prevSpec int) {
 // CommittedPhys returns the physical register caching the committed
 // version of a logical-register address, or ok=false when the committed
 // value lives only in the memory-mapped backing store. Used by
-// architectural-state extraction (core.ExtractCheckpoint).
+// architectural-state extraction (core's checkpoint-injection audit).
 func (v *VCA) CommittedPhys(addr uint64) (int, bool) { return v.commit.get(addr) }
 
 // freeUnmapped returns a register to the free list, removing any table

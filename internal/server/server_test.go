@@ -259,6 +259,50 @@ func TestSingleflightConcurrentSubmissions(t *testing.T) {
 	}
 }
 
+// TestMultiThreadConvWindowNoBaseline pins feasibility to core's own
+// validation: core sizes conventional windows from the whole register
+// file, so a 2-thread conv-windowed machine builds only at 129–159
+// registers. At 256 the cell is a "No Baseline" answer (valid:false,
+// no error, counted as invalid), while 144 still simulates.
+func TestMultiThreadConvWindowNoBaseline(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	id, n := submitSweep(t, ts, SweepRequest{
+		Tenant:     "convwin",
+		Benchmarks: []string{"gcc_expr,parser"},
+		Archs:      []string{"conv-windowed"},
+		PhysRegs:   []int{144, 256},
+		StopAfter:  2000,
+	})
+	if n != 2 {
+		t.Fatalf("expanded %d cells, want 2", n)
+	}
+	res := streamResults(t, ts, id)
+	sort.Slice(res, func(a, b int) bool { return res[a].Index < res[b].Index })
+	if len(res) != 2 {
+		t.Fatalf("streamed %d results, want 2", len(res))
+	}
+	if r := res[0]; r.PhysRegs != 144 || !r.Valid || r.Error != "" {
+		t.Errorf("144 registers: want a simulated cell, got %+v", r)
+	}
+	if r := res[1]; r.PhysRegs != 256 || r.Valid || r.Error != "" || r.CacheKey != "" {
+		t.Errorf("256 registers: want valid:false with no error, got %+v", r)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := new(bytes.Buffer)
+	body.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if v, _ := promValue(t, body.String(), "vca_server_cells_invalid_total"); v != 1 {
+		t.Errorf("vca_server_cells_invalid_total = %d, want 1", v)
+	}
+	if v, _ := promValue(t, body.String(), "vca_server_cells_failed_total"); v != 0 {
+		t.Errorf("vca_server_cells_failed_total = %d, want 0", v)
+	}
+}
+
 // TestGracefulDrain pins the shutdown sequence: Drain lets admitted
 // work finish, flips /readyz to 503, and refuses new submissions with
 // 503, while already-streamed results stay complete.

@@ -58,9 +58,10 @@ type Cell struct {
 }
 
 // CellResult is one line of the NDJSON results stream. Valid=false
-// cells are the sweep's "No Baseline" regions: the architecture cannot
-// operate at that register-file size (experiments.Arch.Config), which
-// is a well-formed answer, not an error.
+// cells are the sweep's "No Baseline" regions: core refuses to build the
+// architecture at that register-file size (core.ErrInfeasible, as
+// experiments.Arch.Config reports it), which is a well-formed answer,
+// not an error.
 //
 // Counters is the run's full flat event-counter map — the CounterPoint
 // surface (PAPERS.md): exposing every counter through the job API lets
@@ -88,20 +89,9 @@ type CellResult struct {
 	countersJSON []byte
 }
 
-// archByName maps the public architecture names (cmd/vcasim -arch) onto
-// the experiment harness's configuration builder.
-var archByName = map[string]experiments.Arch{
-	"baseline":       experiments.ArchBaseline,
-	"conv-windowed":  experiments.ArchConvWindow,
-	"ideal-windowed": experiments.ArchIdealWindow,
-	"vca-flat":       experiments.ArchVCAFlat,
-	"vca-windowed":   experiments.ArchVCAWindow,
-}
-
-// ArchNames returns the accepted arch names, for error messages.
-func ArchNames() []string {
-	return []string{"baseline", "conv-windowed", "ideal-windowed", "vca-flat", "vca-windowed"}
-}
+// ArchNames returns the accepted arch names, in the machine table's
+// order (experiments.ArchNames), for error messages.
+func ArchNames() []string { return experiments.ArchNames() }
 
 // ExpandCells validates a request and expands its cross product into
 // cells in deterministic order (arch-major, then phys_regs, then
@@ -116,7 +106,7 @@ func ExpandCells(req *SweepRequest, maxCells int) ([]Cell, error) {
 		ports = []int{2}
 	}
 	for _, a := range req.Archs {
-		if _, ok := archByName[a]; !ok {
+		if _, ok := experiments.ArchByName(a); !ok {
 			return nil, fmt.Errorf("unknown arch %q (want one of %s)", a, strings.Join(ArchNames(), ", "))
 		}
 	}
@@ -207,7 +197,7 @@ type build struct {
 // architecture cannot operate at this size — the caller reports an
 // invalid (but successful) cell.
 func buildCell(c Cell) (b *build, ok bool, err error) {
-	arch, known := archByName[c.Arch]
+	arch, known := experiments.ArchByName(c.Arch)
 	if !known {
 		return nil, false, fmt.Errorf("unknown arch %q", c.Arch)
 	}
@@ -216,10 +206,9 @@ func buildCell(c Cell) (b *build, ok bool, err error) {
 	if !ok {
 		return nil, false, nil
 	}
-	abi := arch.ABI()
-	b = &build{windowed: abi == minic.ABIWindowed}
+	b = &build{windowed: arch.Windowed()}
 	for _, name := range names {
-		p, err := buildProgram(abi, strings.TrimSpace(name))
+		p, err := buildProgram(arch.ABI(), strings.TrimSpace(name))
 		if err != nil {
 			return nil, false, err
 		}

@@ -66,9 +66,12 @@ type Repro struct {
 	Failure string      `json:"failure"`
 }
 
-// Windowed reports whether the machine runs windowed-ABI binaries.
+// Windowed reports whether the machine runs windowed-ABI binaries: the
+// window model's rule (core.WindowModel.Windowed), false for an unknown
+// model.
 func (s MachineSpec) Windowed() bool {
-	return s.Window == "conv" || s.Window == "ideal" || s.Window == "vca"
+	cfg, err := s.coreConfig()
+	return err == nil && cfg.Window.Windowed()
 }
 
 // coreConfig translates the spec into a core configuration with
@@ -185,25 +188,13 @@ func run(ms MachineSpec, ps ProgramSpec, lockstep bool) (*core.Result, error) {
 	return res, nil
 }
 
-// Constructs reports whether the spec builds a valid machine. The
-// sampler, the shrinker and the counterpoint planner use it to reject
-// out-of-range configurations, e.g. too few physical registers for the
-// thread count.
+// Constructs reports whether the spec describes a machine core would
+// build (core.Config.Validate). The sampler, the shrinker and the
+// counterpoint planner use it to reject out-of-range configurations,
+// e.g. too few physical registers for the thread count.
 func (s MachineSpec) Constructs() bool {
 	cfg, err := s.coreConfig()
-	if err != nil {
-		return false
-	}
-	prog, err := asm.Assemble("main:\n        li a0, 0\n        syscall 0\n")
-	if err != nil {
-		return false
-	}
-	progs := make([]*program.Program, s.Threads)
-	for i := range progs {
-		progs[i] = prog
-	}
-	_, err = core.New(cfg, progs, s.Windowed())
-	return err == nil
+	return err == nil && cfg.Validate() == nil
 }
 
 // SampleSpec draws one valid random machine configuration and a program

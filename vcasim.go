@@ -43,6 +43,7 @@ import (
 	"vca/internal/asm"
 	"vca/internal/core"
 	"vca/internal/emu"
+	"vca/internal/experiments"
 	"vca/internal/metrics"
 	"vca/internal/minic"
 	"vca/internal/program"
@@ -72,51 +73,28 @@ func Assemble(source string) (*Program, error) {
 	return asm.Assemble(source)
 }
 
-// Arch names the machine models of the paper's evaluation.
-type Arch int
+// Arch names the machine models of the paper's evaluation: a row of
+// the one machine table (internal/experiments), whose String is the
+// API name (cmd/vcasim -arch, the sweep service).
+type Arch = experiments.Arch
 
 const (
 	// Baseline is the conventional non-windowed out-of-order machine
 	// (Table 1). Runs flat-ABI binaries.
-	Baseline Arch = iota
+	Baseline = experiments.ArchBaseline
 	// ConvWindowed expands the register file into hardware windows with
 	// trap-based overflow/underflow handling (§4.1). Windowed binaries.
-	ConvWindowed
+	ConvWindowed = experiments.ArchConvWindow
 	// IdealWindowed handles window spills/fills instantly without cache
 	// traffic — the §4.1 lower bound. Windowed binaries.
-	IdealWindowed
+	IdealWindowed = experiments.ArchIdealWindow
 	// VCAFlat is the virtual context architecture running flat binaries
 	// (the SMT study of §4.2).
-	VCAFlat
+	VCAFlat = experiments.ArchVCAFlat
 	// VCAWindowed is the virtual context architecture with register
 	// windows (§2.1.5). Windowed binaries.
-	VCAWindowed
+	VCAWindowed = experiments.ArchVCAWindow
 )
-
-func (a Arch) String() string {
-	switch a {
-	case Baseline:
-		return "baseline"
-	case ConvWindowed:
-		return "conventional-windowed"
-	case IdealWindowed:
-		return "ideal-windowed"
-	case VCAFlat:
-		return "vca-flat"
-	case VCAWindowed:
-		return "vca-windowed"
-	}
-	return "?"
-}
-
-// Windowed reports whether the architecture executes windowed binaries.
-func (a Arch) Windowed() bool {
-	switch a {
-	case ConvWindowed, IdealWindowed, VCAWindowed:
-		return true
-	}
-	return false
-}
 
 // MachineSpec configures a simulation. Zero values take the paper's
 // Table 1 defaults.
@@ -266,22 +244,12 @@ func Run(spec MachineSpec, progs ...*Program) (Result, error) {
 	if spec.DL1Ports == 0 {
 		spec.DL1Ports = 2
 	}
-	var cfg core.Config
-	switch spec.Arch {
-	case Baseline:
-		cfg = core.DefaultConfig(core.RenameConventional, core.WindowNone, spec.Threads, spec.PhysRegs)
-	case ConvWindowed:
-		cfg = core.DefaultConfig(core.RenameConventional, core.WindowConventional, spec.Threads, spec.PhysRegs)
-	case IdealWindowed:
-		cfg = core.DefaultConfig(core.RenameVCA, core.WindowIdeal, spec.Threads, spec.PhysRegs)
-	case VCAFlat:
-		cfg = core.DefaultConfig(core.RenameVCA, core.WindowNone, spec.Threads, spec.PhysRegs)
-	case VCAWindowed:
-		cfg = core.DefaultConfig(core.RenameVCA, core.WindowVCA, spec.Threads, spec.PhysRegs)
-	default:
+	if _, known := experiments.ArchByName(spec.Arch.String()); !known {
 		return Result{}, fmt.Errorf("vca: unknown architecture %v", spec.Arch)
 	}
-	cfg.Hier.DL1Ports = spec.DL1Ports
+	// An infeasible machine (ok=false) is left for core.New to refuse,
+	// with the reason.
+	cfg, _ := spec.Arch.Config(spec.Threads, spec.PhysRegs, spec.DL1Ports)
 	cfg.StopAfter = spec.StopAfter
 	cfg.CoSim = !spec.DisableCoSim
 	cfg.Check = spec.Check
