@@ -173,7 +173,7 @@ func BenchmarkFig8CacheAccesses(b *testing.B) {
 
 // --- Ablations (design decisions from DESIGN.md §4) ---
 
-func runVCAVariant(b *testing.B, mutate func(*core.Config)) uint64 {
+func runVCAVariant(b testing.TB, mutate func(*core.Config)) uint64 {
 	b.Helper()
 	bench, err := workload.ByName("gcc_expr")
 	if err != nil {
@@ -195,6 +195,26 @@ func runVCAVariant(b *testing.B, mutate func(*core.Config)) uint64 {
 		b.Fatal(err)
 	}
 	return res.Cycles
+}
+
+// TestAblationsMoveCycles runs both ends of every ablation below once and
+// fails when they simulate the same cycle count: a toggle that no longer
+// changes the machine is dead code, not a design decision.
+func TestAblationsMoveCycles(t *testing.T) {
+	for _, a := range []struct {
+		name     string
+		from, to func(*core.Config)
+	}{
+		{"ways 2 vs 3", func(c *core.Config) { c.VCA.Ways = 2 }, func(c *core.Config) { c.VCA.Ways = 3 }},
+		{"ASTQ depth 1 vs 4", func(c *core.Config) { c.ASTQSize = 1 }, func(c *core.Config) { c.ASTQSize = 4 }},
+		{"RecoveryWalk on vs off", func(c *core.Config) { c.RecoveryWalk = true }, func(c *core.Config) { c.RecoveryWalk = false }},
+	} {
+		from, to := runVCAVariant(t, a.from), runVCAVariant(t, a.to)
+		t.Logf("%s: %d vs %d cycles", a.name, from, to)
+		if from == to {
+			t.Errorf("%s: both ends simulate %d cycles; the ablation is inert", a.name, from)
+		}
+	}
 }
 
 // BenchmarkAblationRenameAssoc sweeps the VCA rename table associativity
@@ -219,24 +239,6 @@ func BenchmarkAblationASTQDepth(b *testing.B) {
 		b.Run("depth="+itoa(depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cyc := runVCAVariant(b, func(c *core.Config) { c.ASTQSize = depth })
-				b.ReportMetric(float64(cyc), "cycles")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationOverwriteHint toggles the replacement demotion of
-// overwrite-pending registers (§2.1.2).
-func BenchmarkAblationOverwriteHint(b *testing.B) {
-	for _, on := range []bool{true, false} {
-		on := on
-		name := "off"
-		if on {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cyc := runVCAVariant(b, func(c *core.Config) { c.VCA.OverwriteHint = on })
 				b.ReportMetric(float64(cyc), "cycles")
 			}
 		})
@@ -590,11 +592,11 @@ func BenchmarkVCAEvictUnderPressure(b *testing.B) {
 			renameCommit := func(i int) {
 				addr := uint64(0x1000 + 8*(i%span))
 				ops = ops[:0]
-				p, prev, ok := v.RenameDest(addr, &ops)
+				p, _, ok := v.RenameDest(addr, &ops)
 				if !ok {
 					b.Fatal("rename stalled with no in-flight instructions")
 				}
-				v.CommitDest(addr, p, prev)
+				v.CommitDest(addr, p)
 			}
 			for i := 0; i < g.cfg.PhysRegs; i++ {
 				renameCommit(i)

@@ -27,7 +27,7 @@ func main() {
 
 	write := func(base uint64, r int, val uint64, tag string) {
 		var ops []rename.MemOp
-		phys, prev, ok := v.RenameDest(regAddr(base, r), &ops)
+		phys, _, ok := v.RenameDest(regAddr(base, r), &ops)
 		if !ok {
 			panic("stall")
 		}
@@ -38,7 +38,7 @@ func main() {
 			}
 		}
 		values[phys] = val
-		v.CommitDest(regAddr(base, r), phys, prev)
+		v.CommitDest(regAddr(base, r), phys)
 	}
 	read := func(base uint64, r int, tag string) uint64 {
 		var ops []rename.MemOp

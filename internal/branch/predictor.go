@@ -6,8 +6,6 @@
 // history register and the RAS, which are per-thread.
 package branch
 
-import "vca/internal/isa"
-
 // Config sizes the predictor structures.
 type Config struct {
 	TableBits int // log2 entries in bimodal/gshare/chooser tables
@@ -207,22 +205,6 @@ func (p *Predictor) PredictReturn(t int, pc uint64) (target uint64, ck Checkpoin
 // instructions that make no prediction themselves (direct jumps/calls) but
 // still need recoverable state attached.
 func (p *Predictor) CheckpointFor(t int) Checkpoint { return p.snapshot(t) }
-
-// Classify returns how fetch should handle a control instruction.
-func Classify(inst isa.Inst) (cond, call, ret, indirect bool) {
-	switch inst.Op.OpClass() {
-	case isa.ClassBranch:
-		cond = true
-	case isa.ClassCall:
-		call = true
-		indirect = inst.Op == isa.OpJsrR
-	case isa.ClassRet:
-		ret = true
-	case isa.ClassJump:
-		indirect = inst.Op == isa.OpJmpR
-	}
-	return
-}
 
 func b2u(b bool) uint32 {
 	if b {

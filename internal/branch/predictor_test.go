@@ -1,10 +1,6 @@
 package branch
 
-import (
-	"testing"
-
-	"vca/internal/isa"
-)
+import "testing"
 
 func newP() *Predictor { return New(DefaultConfig(1)) }
 
@@ -141,27 +137,6 @@ func TestPerThreadIsolation(t *testing.T) {
 		t.Log("history check informational")
 	}
 	_ = ck0
-}
-
-func TestClassify(t *testing.T) {
-	cases := []struct {
-		inst                      isa.Inst
-		cond, call, ret, indirect bool
-	}{
-		{isa.Inst{Op: isa.OpBeq}, true, false, false, false},
-		{isa.Inst{Op: isa.OpJsr}, false, true, false, false},
-		{isa.Inst{Op: isa.OpJsrR}, false, true, false, true},
-		{isa.Inst{Op: isa.OpRet}, false, false, true, false},
-		{isa.Inst{Op: isa.OpJmp}, false, false, false, false},
-		{isa.Inst{Op: isa.OpJmpR}, false, false, false, true},
-		{isa.Inst{Op: isa.OpAdd}, false, false, false, false},
-	}
-	for _, c := range cases {
-		cond, call, ret, ind := Classify(c.inst)
-		if cond != c.cond || call != c.call || ret != c.ret || ind != c.indirect {
-			t.Errorf("Classify(%v) = %v,%v,%v,%v", c.inst.Op, cond, call, ret, ind)
-		}
-	}
 }
 
 func TestCounterSaturation(t *testing.T) {

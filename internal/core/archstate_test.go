@@ -112,7 +112,6 @@ func TestExtractCheckpointResume(t *testing.T) {
 				t.Run(fmt.Sprintf("from%d+%d", c.start, c.budget), func(t *testing.T) {
 					cfg := tm.cfg
 					cfg.CoSim = true
-					cfg.StopExact = true
 					run := func(budget uint64) (*Machine, *Result) {
 						t.Helper()
 						cfg.StopAfter = budget
@@ -120,6 +119,7 @@ func TestExtractCheckpointResume(t *testing.T) {
 						if err != nil {
 							t.Fatalf("new machine: %v", err)
 						}
+						m.stopExact = true
 						if c.start > 0 {
 							if err := m.InjectCheckpoint(0, fastForwardCheckpoint(t, p, tm.windowed, c.start)); err != nil {
 								t.Fatalf("inject: %v", err)

@@ -13,10 +13,12 @@ import (
 //
 //   - Rename-substrate audits. For VCA, the Figure 2 reference counts
 //     are reconstructed from the live ROB (every source read pins its
-//     register, every producer pins its destination, every in-flight
-//     destination rename is one pending overwrite of its previous
-//     version) and must match the renamer exactly; conservation (free +
-//     mapped = all) and table/commit-map consistency come from
+//     register, every producer pins its destination) and must match the
+//     renamer exactly; for every address with in-flight destination
+//     renames the rename table must name the youngest of them, so a
+//     version an in-flight rename overwrites is never table-named and
+//     never an eviction candidate; conservation (free + mapped = all)
+//     and table/commit-map consistency come from
 //     rename.VCA.CheckInvariants. For the conventional substrate the
 //     free-list leak check runs against the ROB's in-flight
 //     destinations.
@@ -38,8 +40,8 @@ import (
 // checker holds the reusable scratch of the invariant checker so the
 // per-cycle passes allocate nothing.
 type checker struct {
-	expectRef []int // VCA: pins justified by the live ROB
-	expectOW  []int // VCA: overwriters justified by the live ROB
+	expectRef []int           // VCA: pins justified by the live ROB
+	written   map[uint64]bool // VCA: addresses with a younger in-flight destination rename
 
 	inFlight []int // conventional: live destination registers
 
@@ -59,7 +61,7 @@ func (m *Machine) ensureChecker() *checker {
 	if m.chk == nil {
 		m.chk = &checker{
 			expectRef: make([]int, m.cfg.PhysRegs),
-			expectOW:  make([]int, m.cfg.PhysRegs),
+			written:   make(map[uint64]bool),
 			robCount:  make([]int, m.cfg.Threads),
 			fetchCnt:  make([]int, m.cfg.Threads),
 			lsqCnt:    make([]int, m.cfg.Threads),
@@ -99,7 +101,6 @@ func (m *Machine) CheckNow() error {
 func (m *Machine) checkStructures(inRun bool) error {
 	chk := m.ensureChecker()
 	clear(chk.expectRef)
-	clear(chk.expectOW)
 	clear(chk.robCount)
 	clear(chk.fetchCnt)
 	clear(chk.lsqCnt)
@@ -187,7 +188,6 @@ func (m *Machine) checkStructures(inRun bool) error {
 			if u.destPhys >= 0 {
 				chk.expectRef[u.destPhys]++
 				if u.destPrev >= 0 {
-					chk.expectOW[u.destPrev]++
 					if addr, ok := m.vca.MappedAddr(u.destPrev); !ok || addr != u.destAddr {
 						return fmt.Errorf("uop seq %d: previous version p%d of %#x no longer holds it (mapped=%v addr=%#x)",
 							u.seq, u.destPrev, u.destAddr, ok, addr)
@@ -323,7 +323,10 @@ func (m *Machine) checkStructures(inRun bool) error {
 		if err := m.vca.CheckInvariants(); err != nil {
 			return err
 		}
-		if err := m.vca.AuditPins(chk.expectRef, chk.expectOW); err != nil {
+		if err := m.vca.AuditPins(chk.expectRef); err != nil {
+			return err
+		}
+		if err := m.checkYoungestWriters(); err != nil {
 			return err
 		}
 		if n := m.vca.PendingRSIDOps(); n != 0 {
@@ -335,6 +338,29 @@ func (m *Machine) checkStructures(inRun bool) error {
 	}
 
 	return m.checkCounterIdentities(inRun)
+}
+
+// checkYoungestWriters walks the ROB youngest-first and requires, for
+// every address with in-flight VCA destination renames, that the rename
+// table names the youngest of them. A destination rename retargets the
+// address's entry, and a squash must undo renames youngest-first to
+// restore it, so no version an in-flight rename overwrites (destPrev)
+// may be table-named.
+func (m *Machine) checkYoungestWriters() error {
+	written := m.chk.written
+	clear(written)
+	for i := len(m.rob) - 1; i >= m.robHead; i-- {
+		u := m.rob[i]
+		if u.destPhys < 0 || written[u.destAddr] {
+			continue
+		}
+		written[u.destAddr] = true
+		if !m.vca.StillMapped(u.destAddr, u.destPhys) {
+			return fmt.Errorf("uop seq %d: p%d is the youngest in-flight version of %#x, but the rename table does not name it",
+				u.seq, u.destPhys, u.destAddr)
+		}
+	}
+	return nil
 }
 
 // checkASTQ validates the spill/fill path: FIFO enqueue order, issue

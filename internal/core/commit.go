@@ -31,7 +31,7 @@ func (m *Machine) commitStage() {
 		// window-trap operations still drain — they are architectural
 		// bookkeeping of an already-committed call/return). The ROB is
 		// shared and in-order, so freezing the head freezes the stage.
-		if m.cfg.StopExact && m.cfg.StopAfter > 0 && !u.injected && th.committed >= m.cfg.StopAfter {
+		if m.stopExact && m.cfg.StopAfter > 0 && !u.injected && th.committed >= m.cfg.StopAfter {
 			return
 		}
 
@@ -69,7 +69,7 @@ func (m *Machine) commitStage() {
 				}
 			}
 			if u.destPhys >= 0 {
-				m.vca.CommitDest(u.destAddr, u.destPhys, u.destPrev)
+				m.vca.CommitDest(u.destAddr, u.destPhys)
 			}
 		}
 

@@ -128,14 +128,6 @@ type Config struct {
 	// StopAfter ends simulation once any thread has committed this many
 	// instructions (0 = run to program exit).
 	StopAfter uint64
-	// StopExact freezes commit per thread exactly at the StopAfter
-	// budget instead of finishing the commit group (plain StopAfter can
-	// overshoot by up to Width-1 instructions in the stopping cycle).
-	// extractCheckpoint needs the exact boundary to produce the image at
-	// a known instruction count; when the budget lands on a window
-	// trap, the run drains the trap's injected operations before
-	// stopping so committed window state is complete at the boundary.
-	StopExact bool
 	// MaxCycles guards against hangs (default 2^40).
 	MaxCycles uint64
 }

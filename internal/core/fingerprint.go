@@ -25,7 +25,10 @@ import (
 //	4  PR 4 first memoized release
 //	5  PR 6 this version: StopExact commit freeze, checkpoint
 //	   injection/extraction (no timing change for default configs, but
-//	   Config gained a semantic field)
+//	   Config gained a semantic field). Later, retiring Config.StopExact
+//	   (now a test knob), the §2.1.2 overwrite hint and DisableRSID
+//	   re-keyed every fingerprint once; no simulated result changed, so
+//	   the version stayed 5.
 const SchemaVersion = 5
 
 // fingerprintSkip lists Config fields that do not influence simulated

@@ -210,8 +210,7 @@ func TestFingerprintMatchesOracle(t *testing.T) {
 	odd.Hier.IL1.Name = "I\"L1\n\u2028\xff"
 	odd.TrapPenalty = -1
 	odd.StopAfter = math.MaxUint64
-	odd.StopExact = true
-	odd.VCA.DisableRSID = true
+	odd.RecoveryWalk = false
 	if got, want := odd.Fingerprint(), oracleFingerprint(reflect.ValueOf(odd), "Config", true); got != want {
 		t.Fatalf("perturbed config:\ngot:  %s\nwant: %s", got, want)
 	}

@@ -86,6 +86,13 @@ type Machine struct {
 	// until issue; iqCount tracks logical IQ occupancy for the size limit
 	// and occupancy sampling. ewheel/awheel bucket in-flight completions
 	// by doneAt. noSkip is a test knob disabling the quiesced-cycle skip.
+	// stopExact is a test knob freezing commit per thread exactly at the
+	// StopAfter budget instead of finishing the commit group (plain
+	// StopAfter can overshoot by up to Width-1 instructions in the
+	// stopping cycle), so an extracted checkpoint lands on a known
+	// instruction count; when the budget lands on a window trap, the run
+	// drains the trap's injected operations before stopping so committed
+	// window state is complete at the boundary.
 	iqCount     int
 	ready       []*uop
 	readyDirty  bool
@@ -94,6 +101,7 @@ type Machine struct {
 	ewheel      execWheel
 	awheel      astqWheel
 	noSkip      bool
+	stopExact   bool
 
 	// FIFO queues drained from the front every cycle. Each is a slice
 	// plus a head index so pops recycle the backing array instead of
@@ -336,12 +344,12 @@ func (m *Machine) Run() (*Result, error) {
 		if m.cfg.StopAfter > 0 {
 			for _, th := range m.threads {
 				if th.committed >= m.cfg.StopAfter {
-					// Under StopExact the boundary must leave committed
+					// Under stopExact the boundary must leave committed
 					// window state whole: when the budget lands on a
 					// trapping call/return, keep cycling until the trap's
 					// injected spill/fill operations have all committed
 					// (commit of real instructions stays frozen).
-					if m.cfg.StopExact && th.injectedLive > 0 {
+					if m.stopExact && th.injectedLive > 0 {
 						continue
 					}
 					return m.result(), nil

@@ -324,9 +324,6 @@ func TestOpMetadata(t *testing.T) {
 	if !OpLdL.MemSigned() || OpLdBU.MemSigned() {
 		t.Error("wrong load extension flags")
 	}
-	if !OpBeq.IsControl() || !OpRet.IsControl() || OpAdd.IsControl() {
-		t.Error("wrong control classification")
-	}
 	if !OpLdF.IsMem() || OpFAdd.IsMem() {
 		t.Error("wrong memory classification")
 	}

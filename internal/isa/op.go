@@ -233,15 +233,6 @@ func (op Op) IsMem() bool {
 	return c == ClassLoad || c == ClassStore
 }
 
-// IsControl reports whether op can redirect the PC.
-func (op Op) IsControl() bool {
-	switch opTable[op].class {
-	case ClassBranch, ClassJump, ClassCall, ClassRet:
-		return true
-	}
-	return false
-}
-
 // MemBytes returns the access size in bytes for memory ops (0 otherwise).
 func (op Op) MemBytes() int {
 	switch op {

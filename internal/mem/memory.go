@@ -199,10 +199,6 @@ func (m *Memory) WriteBytes(addr uint64, data []byte) {
 	}
 }
 
-// Footprint returns the number of distinct pages touched, a cheap working-
-// set statistic used by the workload clustering step.
-func (m *Memory) Footprint() int { return len(m.pages) }
-
 // PageImage is one resident page of a memory snapshot: the page's base
 // address and a copy of its PageSize bytes.
 type PageImage struct {

@@ -28,8 +28,7 @@ func TestVCAInjectLeakCaught(t *testing.T) {
 
 // TestVCAAuditPins checks the reference-count audit against a known
 // pin pattern: a renamed source holds one pin, an in-flight destination
-// holds one pin plus one pending overwrite of its previous version, and
-// wrong expectations are rejected.
+// holds one pin (its producer's), and wrong expectations are rejected.
 func TestVCAAuditPins(t *testing.T) {
 	v := newVCA(8)
 	var ops []MemOp
@@ -47,24 +46,22 @@ func TestVCAAuditPins(t *testing.T) {
 	}
 
 	ref := make([]int, 8)
-	ow := make([]int, 8)
 	ref[src], ref[d1], ref[d2] = 1, 1, 1
-	ow[d1] = 1
-	if err := v.AuditPins(ref, ow); err != nil {
+	if err := v.AuditPins(ref); err != nil {
 		t.Fatalf("correct expectation rejected: %v", err)
 	}
 
 	ref[src] = 2 // claim a pin that does not exist
-	if err := v.AuditPins(ref, ow); err == nil {
+	if err := v.AuditPins(ref); err == nil {
 		t.Fatal("over-counted pin not detected")
 	}
 	ref[src] = 1
-	ow[d1] = 0 // deny the pending overwrite
-	if err := v.AuditPins(ref, ow); err == nil {
-		t.Fatal("missing overwrite expectation not detected")
+	ref[d1] = 0 // deny the producer's pin
+	if err := v.AuditPins(ref); err == nil {
+		t.Fatal("missing producer pin not detected")
 	}
-	ow[d1] = 1
-	if err := v.AuditPins(ref[:4], ow[:4]); err == nil {
+	ref[d1] = 1
+	if err := v.AuditPins(ref[:4]); err == nil {
 		t.Fatal("wrong audit length not detected")
 	}
 }
@@ -100,8 +97,8 @@ func TestVCAMappedAddr(t *testing.T) {
 func TestVCADuplicateLRUStampCaught(t *testing.T) {
 	v := newVCA(8)
 	var ops []MemOp
-	pa, prevA, _ := v.RenameDest(0x2000, &ops)
-	v.CommitDest(0x2000, pa, prevA)
+	pa, _, _ := v.RenameDest(0x2000, &ops)
+	v.CommitDest(0x2000, pa)
 	pb, _, ok := v.RenameSource(0x2008, &ops)
 	if !ok {
 		t.Fatal("rename failed")

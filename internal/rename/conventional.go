@@ -26,9 +26,12 @@
 //     overwriting instruction) plus committed/dirty bits. Pinned
 //     registers are never replaced; committed+dirty registers are the
 //     cacheable architectural state.
-//   - Replacement is LRU with overwrite-pending demotion (§2.1.2): a
-//     register whose overwriter is already renamed is dead the moment the
-//     overwriter commits, so it is the cheapest victim.
+//   - Replacement is LRU over the registers the rename table names. A
+//     destination rename retargets its address's entry to the new
+//     version, so the previous version, which §2.1.2 gives the lowest
+//     replacement priority, is unnamed and never a candidate at all: it
+//     stays until the overwriter commits (then it is freed without a
+//     spill) or is squashed (then the entry names it again).
 //   - The RSID translation table (§2.2.1) compresses the full 64-bit
 //     address tags: the table stores a small register-space ID per
 //     context page, so tag compares are narrow. Reallocating a live RSID

@@ -11,13 +11,9 @@ type VCAConfig struct {
 	Ways       int // rename-table associativity
 	Ports      int // rename-table lookups per cycle (same-address reads combine)
 	ASTQWrites int // spill/fill operations enqueued per cycle
-	// OverwriteHint gives registers with an in-flight overwriter the
-	// lowest replacement priority (§2.1.2). Disable for the ablation.
-	OverwriteHint bool
 	// RSID translation table (§2.2.1).
-	RSIDs       int  // translation-table entries
-	OffsetBits  int  // low address bits kept as the register-space offset
-	DisableRSID bool // model a full-tag table (ablation)
+	RSIDs      int // translation-table entries
+	OffsetBits int // low address bits kept as the register-space offset
 }
 
 // DefaultVCAConfig returns the paper's configuration for a given thread
@@ -31,29 +27,30 @@ func DefaultVCAConfig(threads, physRegs int) VCAConfig {
 		ways = 5
 	}
 	return VCAConfig{
-		PhysRegs:      physRegs,
-		Sets:          64,
-		Ways:          ways,
-		Ports:         8,
-		ASTQWrites:    2,
-		OverwriteHint: true,
-		RSIDs:         64,
-		OffsetBits:    13,
+		PhysRegs:   physRegs,
+		Sets:       64,
+		Ways:       ways,
+		Ports:      8,
+		ASTQWrites: 2,
+		RSIDs:      64,
+		OffsetBits: 13,
 	}
 }
 
 // physState is the per-register state of Figure 2: the backing logical
 // register memory address, a reference count (pinned when > 0), the
-// committed and dirty bits, LRU time, and the count of in-flight
-// instructions that will overwrite this logical register. Field widths
-// are chosen to pack the struct into 32 bytes: the renamer's hot paths
-// (lookup, eviction scans, commit) are bound by how many of these fit a
-// cache line, and int32 counts are ample for any in-flight window.
+// committed and dirty bits, and LRU time. Figure 2's overwrite-pending
+// state needs no count here: a destination rename retargets the table
+// entry, so the version it overwrites is no longer named by the table
+// and is never an eviction candidate (§2.1.2's lowest priority, held
+// structurally). Field widths pack the struct into 24 bytes: the
+// renamer's hot paths (lookup, eviction scans, commit) are bound by how
+// many of these fit a cache line, and an int32 count is ample for any
+// in-flight window.
 type physState struct {
 	addr      uint64
 	lru       uint64
 	ref       int32
-	owPending int32
 	mapped    bool
 	committed bool
 	dirty     bool
@@ -213,27 +210,18 @@ func (v *VCA) evictable(p int) bool {
 	return r.mapped && r.ref == 0 && r.committed
 }
 
-// victimIn picks the best victim among the table entries of one set, or
-// nil if every way is pinned. With OverwriteHint, registers whose logical
-// register has an in-flight overwriter are chosen only as a last resort.
+// victimIn picks the least recently used evictable register among the
+// table entries of one set, or nil if every way is pinned.
 func (v *VCA) victimIn(ways []tableEntry) *tableEntry {
 	var best *tableEntry
-	bestKey := struct {
-		ow  bool
-		lru uint64
-	}{}
+	var bestLRU uint64
 	for i := range ways {
 		p := ways[i].phys()
 		if p == PhysNone || !v.evictable(p) {
 			continue
 		}
-		r := &v.regs[p]
-		ow := v.cfg.OverwriteHint && r.owPending > 0
-		if best == nil ||
-			(bestKey.ow && !ow) ||
-			(bestKey.ow == ow && r.lru < bestKey.lru) {
-			best = &ways[i]
-			bestKey.ow, bestKey.lru = ow, r.lru
+		if r := &v.regs[p]; best == nil || r.lru < bestLRU {
+			best, bestLRU = &ways[i], r.lru
 		}
 	}
 	return best
@@ -259,8 +247,8 @@ func (v *VCA) evict(e *tableEntry, ops *[]MemOp) int {
 }
 
 // allocPhys obtains a free physical register, evicting an unpinned
-// committed register (global LRU, overwrite-pending demoted) if necessary.
-// Returns PhysNone if every register is pinned or speculative.
+// committed register (global LRU) if necessary. Returns PhysNone if every
+// register is pinned or speculative.
 func (v *VCA) allocPhys(ops *[]MemOp) int {
 	if n := len(v.free); n > 0 {
 		p := v.free[n-1]
@@ -274,19 +262,17 @@ func (v *VCA) allocPhys(ops *[]MemOp) int {
 	// carry distinct LRU stamps, so this picks the victim a scan of every
 	// table entry would, at PhysRegs×Ways cost instead of Sets×Ways.
 	var best *tableEntry
-	bestOW := false
 	var bestLRU uint64
 	for p := range v.regs {
 		if !v.evictable(p) {
 			continue
 		}
 		r := &v.regs[p]
-		ow := v.cfg.OverwriteHint && r.owPending > 0
-		if best != nil && !(bestOW && !ow) && !(bestOW == ow && r.lru < bestLRU) {
+		if best != nil && r.lru >= bestLRU {
 			continue
 		}
 		if e, cur := v.lookup(r.addr); cur == p {
-			best, bestOW, bestLRU = e, ow, r.lru
+			best, bestLRU = e, r.lru
 		}
 	}
 	if best == nil {
@@ -358,7 +344,7 @@ func (v *VCA) RenameSource(addr uint64, ops *[]MemOp) (phys int, filled bool, ok
 // copied out.
 func (v *VCA) mapReg(p int, addr uint64, committed bool) {
 	r := &v.regs[p]
-	r.addr, r.lru, r.ref, r.owPending = addr, v.tick(), 1, 0
+	r.addr, r.lru, r.ref = addr, v.tick(), 1
 	r.mapped, r.committed, r.dirty = true, committed, false
 }
 
@@ -383,8 +369,8 @@ func (v *VCA) RenameDest(addr uint64, ops *[]MemOp) (newPhys, prevSpec int, ok b
 	if entry != nil {
 		// Retarget the existing entry to the new speculative version; the
 		// previous version stays alive (reachable via the commit table or
-		// pinned by consumers) for recovery.
-		v.regs[prev].owPending++
+		// pinned by consumers) for recovery, but is no longer named by the
+		// table and so never an eviction candidate (§2.1.2).
 		*entry = mapTo(p)
 	} else if !v.installMapping(addr, p, ops) {
 		v.free = append(v.free, p)
@@ -417,15 +403,12 @@ func (v *VCA) ReleaseSource(phys int) {
 // overwrite — without any writeback, per §2.1.2.
 //
 //vca:hot
-func (v *VCA) CommitDest(addr uint64, phys, prevSpec int) {
+func (v *VCA) CommitDest(addr uint64, phys int) {
 	r := &v.regs[phys]
 	r.ref--
 	r.committed = true
 	r.dirty = true
 	r.lru = v.tick()
-	if prevSpec != PhysNone && v.regs[prevSpec].mapped && v.regs[prevSpec].addr == addr {
-		v.regs[prevSpec].owPending--
-	}
 	if old, ok := v.commit.get(addr); ok && old != phys {
 		o := &v.regs[old]
 		if o.ref > 0 {
@@ -487,14 +470,12 @@ func (v *VCA) ReleaseRetired(phys int) {
 //
 //vca:hot
 func (v *VCA) RollbackDest(addr uint64, newPhys, prevSpec int) {
-	entry, cur := v.lookup(addr)
-	if prevSpec != PhysNone && v.regs[prevSpec].mapped && v.regs[prevSpec].addr == addr {
-		v.regs[prevSpec].owPending--
-		if entry != nil && cur == newPhys {
+	if entry, cur := v.lookup(addr); entry != nil && cur == newPhys {
+		if prevSpec != PhysNone && v.regs[prevSpec].mapped && v.regs[prevSpec].addr == addr {
 			*entry = mapTo(prevSpec)
+		} else {
+			*entry = 0
 		}
-	} else if entry != nil && cur == newPhys {
-		*entry = 0
 	}
 	r := &v.regs[newPhys]
 	r.ref-- // producer pin
@@ -528,7 +509,7 @@ func (v *VCA) FillLive(addr uint64, phys int) bool {
 // the FlushSpace callback is left to the core (rare; our workloads are
 // sized so it never fires during measurement).
 func (v *VCA) touchRSID(addr uint64) {
-	if v.cfg.DisableRSID || v.cfg.RSIDs == 0 {
+	if v.cfg.RSIDs == 0 {
 		return
 	}
 	tag := addr >> uint(v.cfg.OffsetBits)
@@ -603,24 +584,20 @@ func (v *VCA) MappedAddr(p int) (addr uint64, ok bool) {
 // rename path drains it into the ASTQ before returning).
 func (v *VCA) PendingRSIDOps() int { return len(v.pendingRSIDOps) }
 
-// AuditPins cross-checks every register's Figure 2 reference counts
+// AuditPins cross-checks every register's Figure 2 reference count
 // against the core's independently reconstructed in-flight view:
 // expectRef[p] is the number of pins (source reads plus the producer's
-// own pin) the ROB currently justifies, expectOW[p] the number of
-// in-flight overwriters. Both slices must have PhysRegs entries.
-func (v *VCA) AuditPins(expectRef, expectOW []int) error {
-	if len(expectRef) != len(v.regs) || len(expectOW) != len(v.regs) {
-		return fmt.Errorf("vca: audit slices sized %d/%d, want %d", len(expectRef), len(expectOW), len(v.regs))
+// own pin) the ROB currently justifies. The slice must have PhysRegs
+// entries.
+func (v *VCA) AuditPins(expectRef []int) error {
+	if len(expectRef) != len(v.regs) {
+		return fmt.Errorf("vca: audit slice sized %d, want %d", len(expectRef), len(v.regs))
 	}
 	for p := range v.regs {
 		r := &v.regs[p]
 		if int(r.ref) != expectRef[p] {
 			return fmt.Errorf("vca: register %d ref count %d, but %d in-flight pins justify it (%+v)",
 				p, r.ref, expectRef[p], *r)
-		}
-		if int(r.owPending) != expectOW[p] {
-			return fmt.Errorf("vca: register %d overwrite-pending %d, but %d in-flight overwriters exist (%+v)",
-				p, r.owPending, expectOW[p], *r)
 		}
 		if expectRef[p] > 0 && !r.mapped {
 			return fmt.Errorf("vca: register %d pinned by %d in-flight readers but unmapped", p, expectRef[p])
@@ -698,8 +675,8 @@ func (v *VCA) CheckInvariants() error {
 	stampOwner := make(map[uint64]int, v.cfg.PhysRegs)
 	for p := range v.regs {
 		r := &v.regs[p]
-		if r.ref < 0 || r.owPending < 0 {
-			return fmt.Errorf("vca: register %d has negative counts (%+v)", p, r)
+		if r.ref < 0 {
+			return fmt.Errorf("vca: register %d has a negative reference count (%+v)", p, r)
 		}
 		if r.mapped {
 			if r.lru == 0 {
@@ -715,7 +692,7 @@ func (v *VCA) CheckInvariants() error {
 			return fmt.Errorf("vca: register %d is simultaneously free and mapped to %#x", p, r.addr)
 		case !inFree[p] && !r.mapped:
 			return fmt.Errorf("vca: register %d leaked (neither free nor mapped)", p)
-		case inFree[p] && (r.ref != 0 || r.owPending != 0 || r.committed || r.dirty):
+		case inFree[p] && (r.ref != 0 || r.committed || r.dirty):
 			return fmt.Errorf("vca: free register %d has residual state (%+v)", p, *r)
 		}
 	}

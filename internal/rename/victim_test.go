@@ -8,21 +8,18 @@ import (
 
 // tableScanVictim is the victim search allocPhys made before it scanned
 // physical registers: every rename-table entry in table order, keeping
-// the lowest (overwrite-pending, LRU) key. It stays here as the oracle
-// the register scan must agree with.
+// the lowest LRU stamp. It stays here as the oracle the register scan
+// must agree with.
 func tableScanVictim(v *VCA) *tableEntry {
 	var best *tableEntry
-	bestOW := false
 	var bestLRU uint64
 	tableWays(v, func(e *tableEntry) {
 		p := e.phys()
 		if p == PhysNone || !v.evictable(p) {
 			return
 		}
-		r := &v.regs[p]
-		ow := v.cfg.OverwriteHint && r.owPending > 0
-		if best == nil || (bestOW && !ow) || (bestOW == ow && r.lru < bestLRU) {
-			best, bestOW, bestLRU = e, ow, r.lru
+		if r := &v.regs[p]; best == nil || r.lru < bestLRU {
+			best, bestLRU = e, r.lru
 		}
 	})
 	return best
@@ -146,8 +143,8 @@ func (vp *victimPair) release(p int) {
 }
 
 func (vp *victimPair) commitDest(addr uint64, p, prev int) {
-	vp.v.CommitDest(addr, p, prev)
-	vp.twin.CommitDest(addr, p, prev)
+	vp.v.CommitDest(addr, p)
+	vp.twin.CommitDest(addr, p)
 }
 
 func (vp *victimPair) rollbackDest(addr uint64, p, prev int) {
@@ -158,9 +155,9 @@ func (vp *victimPair) rollbackDest(addr uint64, p, prev int) {
 // TestVCAVictimMatchesTableScan checks allocPhys's register scan against
 // the table-order scan it replaced. Random rename, commit, squash and
 // release sequences keep the free list empty, so nearly every allocation
-// evicts, on the paper's table and on the ideal-window machine's, with
-// the overwrite hint on and off. Every eviction must free the oracle's
-// victim, and the two renamers must end in the same state and stats.
+// evicts, on the paper's table and on the ideal-window machine's. Every
+// eviction must free the oracle's victim, and the two renamers must end
+// in the same state and stats.
 func TestVCAVictimMatchesTableScan(t *testing.T) {
 	// ideal has the ways of core.DefaultConfig's ideal-window table (this
 	// package cannot import core) and a quarter of its 16,384 sets, so the
@@ -179,18 +176,14 @@ func TestVCAVictimMatchesTableScan(t *testing.T) {
 		{"ideal", ideal},
 	}
 	for _, g := range geometries {
-		for _, hint := range []bool{true, false} {
-			evictions := 0
-			rng := rand.New(rand.NewSource(7))
-			for trial := 0; trial < 4; trial++ {
-				cfg := g.cfg(8 + rng.Intn(57))
-				cfg.OverwriteHint = hint
-				evictions += runVictimTrial(t, rng, cfg)
-			}
-			// Teeth: the comparison must have exercised the eviction path.
-			if evictions < 1000 {
-				t.Errorf("%s, hint %v: only %d evictions compared", g.name, hint, evictions)
-			}
+		evictions := 0
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 4; trial++ {
+			evictions += runVictimTrial(t, rng, g.cfg(8+rng.Intn(57)))
+		}
+		// Teeth: the comparison must have exercised the eviction path.
+		if evictions < 1000 {
+			t.Errorf("%s: only %d evictions compared", g.name, evictions)
 		}
 	}
 }

@@ -46,9 +46,9 @@ func TestKeyFromGolden(t *testing.T) {
 		ckAt    int // thread whose start is checkpointed; the others start from reset
 		key     string
 	}{
-		{testModels[0], 1, 0, "4eb394cd83104411ae652ef8057fc0e07d256a9dd03ff8eb15e58accec7fa33b"},
-		{testModels[2], 1, 0, "1ccd4ea80fcf82d1c47573197d37a891547081851f8af4f5133c41976527bb70"},
-		{testModels[2], 2, 1, "699463fe1c2a10435eb79b9c166ac69d4856d4ebf1f41bd4ca0bb2743369a5d7"},
+		{testModels[0], 1, 0, "133ef6427161d0e040bc7633e6ef4cea655f16b6a1f4bc5c456c76841a91646c"},
+		{testModels[2], 1, 0, "86473e31dd33f086bc98e52b7e7238f599ab8925258397e0c42cce918a0f2454"},
+		{testModels[2], 2, 1, "79a9d11f02e8d94c1e270701715db0f99553d9f4e6916363b1b15cb99e0518f4"},
 	} {
 		cfg, progs, windowed := jobFor(t, b, g.model)
 		for len(progs) < g.threads {

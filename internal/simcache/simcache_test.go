@@ -569,14 +569,16 @@ func TestSimulationsMatchMisses(t *testing.T) {
 // TestKeyGolden pins simcache.Key for two workloads under a baseline
 // and a windowed VCA configuration. A changed key silently orphans
 // every entry of every persistent store while every in-process round
-// trip still passes, so the hex values were recorded once and are
-// never regenerated.
+// trip still passes, so the hex values are recorded, not generated.
+// Re-record them (and TestKeyFromGolden's) only for a change that adds
+// or removes a core.Config field or bumps core.SchemaVersion, and say
+// so where the change is described.
 func TestKeyGolden(t *testing.T) {
 	for _, g := range []struct{ bench, model, key string }{
-		{"crafty", "baseline", "56189eaa64bf848cbad462a07a18747a829f3fcdf1c0f6aca3355a58d7b71f58"},
-		{"crafty", "vca-window", "6dd0ea185ceaffb2206fd9c6b67ad3467377f1d4872f02491885a683b20fb687"},
-		{"gcc_expr", "baseline", "f4dee9eca7d01ab1ce697780e633690c0c7e8f305a5d707ba2aa1a9356092de0"},
-		{"gcc_expr", "vca-window", "185bc6903029b7016bb5a489aac0f1caf2687840c8d3a7db1e8f7dd5c382476e"},
+		{"crafty", "baseline", "5e6bc02641c5b87517c7690f645ae535bdc8237c957d5b1fc17ec60491d55025"},
+		{"crafty", "vca-window", "fe4831ac2bc106ae819c1cb3ed77a4f4730d12f247a0cd31f9c7e382c06c2752"},
+		{"gcc_expr", "baseline", "2b16702a3b181e2da06a2bea6e77359b7f477f9014ea7fdefee22e815f69ad18"},
+		{"gcc_expr", "vca-window", "3747c2a7f5111ffbcd7ad1696872e6ade72ed2859b5c1b3ceedb5196c2aab566"},
 	} {
 		b, err := workload.ByName(g.bench)
 		if err != nil {

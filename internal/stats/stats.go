@@ -4,10 +4,7 @@
 // access metrics used for the SMT studies.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // ExecTime estimates a benchmark's full execution time as the product of
 // the detailed simulation's CPI and the complete run's dynamic instruction
@@ -67,19 +64,6 @@ func WeightedCacheAccesses(singleAPI, smtAPI []float64) (float64, error) {
 		s += smtAPI[i] / singleAPI[i]
 	}
 	return s, nil
-}
-
-// GeoMean returns the geometric mean (used to aggregate normalized times
-// across benchmarks).
-func GeoMean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	prod := 1.0
-	for _, v := range values {
-		prod *= v
-	}
-	return math.Pow(prod, 1/float64(len(values)))
 }
 
 // Mean returns the arithmetic mean.

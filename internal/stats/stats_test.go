@@ -54,10 +54,7 @@ func TestMeans(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Error("Mean")
 	}
-	if math.Abs(GeoMean([]float64{1, 4})-2) > 1e-12 {
-		t.Error("GeoMean")
-	}
-	if Mean(nil) != 0 || GeoMean(nil) != 0 {
+	if Mean(nil) != 0 {
 		t.Error("empty inputs")
 	}
 }
