@@ -628,24 +628,17 @@ func BenchmarkCacheAccess(b *testing.B) {
 // simcacheBenchJob is one service cell (crafty on the windowed VCA
 // machine at 256 registers, a 2,000-instruction budget) as
 // server.RunCell builds it.
-func simcacheBenchJob(b *testing.B) (core.Config, []*program.Program, bool) {
+func simcacheBenchJob(b *testing.B) (core.Config, []*program.Program) {
 	b.Helper()
 	bench, err := workload.ByName("crafty")
 	if err != nil {
 		b.Fatal(err)
 	}
-	arch := experiments.ArchVCAWindow
-	cfg, ok := arch.Config(1, 256, 2)
-	if !ok {
-		b.Fatal("vca-windowed rejects 256 registers")
+	cfg, progs, ok, err := experiments.ArchVCAWindow.Build([]workload.Benchmark{bench}, 256, 2, 2000)
+	if err != nil || !ok {
+		b.Fatalf("vca-windowed at 256 registers: ok=%v err=%v", ok, err)
 	}
-	cfg.StopAfter = 2000
-	cfg.MaxCycles = 1 << 34
-	prog, err := bench.Build(arch.ABI())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return cfg, []*program.Program{prog}, arch.ABI() == minic.ABIWindowed
+	return cfg, progs
 }
 
 var simcacheBenchSink any
@@ -653,18 +646,18 @@ var simcacheBenchSink any
 // BenchmarkSimcacheKey measures one cell's content-address derivation,
 // simcache.Key: the config fingerprint plus one digest per program.
 func BenchmarkSimcacheKey(b *testing.B) {
-	cfg, progs, windowed := simcacheBenchJob(b)
+	cfg, progs := simcacheBenchJob(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		simcacheBenchSink = simcache.Key(cfg, progs, windowed)
+		simcacheBenchSink = simcache.Key(cfg, progs)
 	}
 }
 
 // BenchmarkConfigFingerprint measures one core.Config.Fingerprint, the
 // config half of every cell's content address.
 func BenchmarkConfigFingerprint(b *testing.B) {
-	cfg, _, _ := simcacheBenchJob(b)
+	cfg, _ := simcacheBenchJob(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -676,16 +669,16 @@ func BenchmarkConfigFingerprint(b *testing.B) {
 // the cache directory afresh per op, so every lookup reads, decodes and
 // verifies the entry file; view repeats the lookup on one open cache.
 func BenchmarkSimcacheHit(b *testing.B) {
-	cfg, progs, windowed := simcacheBenchJob(b)
+	cfg, progs := simcacheBenchJob(b)
 	dir := b.TempDir()
 	cache, err := simcache.Open(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, _, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil {
+	if _, _, err := cache.Run(cfg, progs, nil); err != nil {
 		b.Fatal(err)
 	}
-	key := simcache.Key(cfg, progs, windowed)
+	key := simcache.Key(cfg, progs)
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -718,15 +711,15 @@ func BenchmarkSimcacheHit(b *testing.B) {
 // entries sit beside it. Each run's store also grows by b.N; a fixed
 // -benchtime such as 200x keeps the two sizes apart.
 func BenchmarkSimcachePut(b *testing.B) {
-	cfg, progs, windowed := simcacheBenchJob(b)
+	cfg, progs := simcacheBenchJob(b)
 	src, err := simcache.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, _, err := src.RunMachine(cfg, progs, windowed, nil); err != nil {
+	if _, _, err := src.Run(cfg, progs, nil); err != nil {
 		b.Fatal(err)
 	}
-	e, ok := src.Get(simcache.Key(cfg, progs, windowed))
+	e, ok := src.Get(simcache.Key(cfg, progs))
 	if !ok {
 		b.Fatal("stored cell missed")
 	}

@@ -176,6 +176,21 @@ func NewFromCheckpoint(p *program.Program, cfg Config, ck *Checkpoint) (*Machine
 	return m, nil
 }
 
+// FastForward executes exactly n instructions of p on the fast
+// functional engine (FastRun) and returns the resulting checkpoint. It
+// fails if the program exits or faults before the budget is reached.
+func FastForward(p *program.Program, windowed bool, n uint64) (*Checkpoint, error) {
+	m := New(p, Config{Windowed: windowed})
+	executed, err := m.FastRun(n)
+	if err != nil {
+		return nil, err
+	}
+	if executed < n {
+		return nil, fmt.Errorf("emu: program exited after %d of %d fast-forward instructions", executed, n)
+	}
+	return m.Checkpoint(), nil
+}
+
 // payload returns the canonical serialized form: the image with the
 // checksum field cleared.
 func (ck *Checkpoint) payload() ([]byte, error) {

@@ -7,7 +7,8 @@
 //   - arch.go — the machine table: the paper's five machines (baseline,
 //     conventional/ideal register windows, VCA flat/windowed), each with
 //     its API name, figure label, rename model and window model. Arch
-//     names a row; Arch.Config builds its Table 1 configuration, and an
+//     names a row; Arch.Config builds its Table 1 configuration and
+//     Arch.Build a whole cell (configuration plus programs), and an
 //     Arch that core refuses to build at a requested register-file size
 //     (core.ErrInfeasible) reports ok=false ("No Baseline" in the
 //     figures). The vca facade, the sweep service and cmd/vcasim all
@@ -19,12 +20,13 @@
 //   - counterpoint.go — the counter-oracle gate's machine matrix, whose
 //     fast-forwarded cells start from functional checkpoints.
 //
-// Every simulation funnels through the package-wide simcache.Runner
-// and optional result cache (SetJobs/SetCache), so sweeps parallelize
-// and memoize uniformly. Consumers: cmd/experiments (human-readable
-// tables), the repository benchmark harness (bench_test.go), and the
-// sweep service (internal/server), which resolves its HTTP job API's
-// arch names through ArchByName.
+// Every cell is built by Arch.Build and simulated by the package-wide
+// result cache's Run on the package-wide simcache.Runner
+// (SetCache/SetJobs), so sweeps parallelize and memoize uniformly.
+// Consumers: cmd/experiments (human-readable tables), the repository
+// benchmark harness (bench_test.go), and the sweep service
+// (internal/server), which resolves its HTTP job API's arch names
+// through ArchByName and builds its cells with Arch.Build.
 package experiments
 
 import (
@@ -147,6 +149,27 @@ func (a Arch) Config(threads, physRegs, dl1Ports int) (core.Config, bool) {
 	return cfg, !errors.Is(cfg.Validate(), core.ErrInfeasible)
 }
 
+// Build resolves one cell of the evaluation to what the simulator runs:
+// the machine's configuration for one thread per benchmark, ending once
+// any thread commits stopAfter instructions (0 = run to completion),
+// and each benchmark built in the machine's ABI. ok=false, with no
+// programs built, is Config's "No Baseline" answer. Every sweep, the
+// counterpoint matrix and the sweep service build their cells here.
+func (a Arch) Build(benches []workload.Benchmark, physRegs, dl1Ports int, stopAfter uint64) (cfg core.Config, progs []*program.Program, ok bool, err error) {
+	if cfg, ok = a.Config(len(benches), physRegs, dl1Ports); !ok {
+		return cfg, nil, false, nil
+	}
+	cfg.StopAfter = stopAfter
+	cfg.MaxCycles = 1 << 34
+	progs = make([]*program.Program, len(benches))
+	for i, b := range benches {
+		if progs[i], err = b.Build(a.ABI()); err != nil {
+			return cfg, nil, false, err
+		}
+	}
+	return cfg, progs, true, nil
+}
+
 // Metrics are the per-run quantities the figures reduce.
 type Metrics struct {
 	Valid     bool
@@ -171,37 +194,15 @@ func RunSingle(b workload.Benchmark, arch Arch, physRegs, dl1Ports int, stopAfte
 
 // RunSMT runs a multiprogrammed workload, one benchmark per thread.
 func RunSMT(benches []workload.Benchmark, arch Arch, physRegs, dl1Ports int, stopAfter uint64) (Metrics, error) {
-	cfg, ok := arch.Config(len(benches), physRegs, dl1Ports)
-	if !ok {
-		return Metrics{}, nil
+	cfg, progs, ok, err := arch.Build(benches, physRegs, dl1Ports, stopAfter)
+	if !ok || err != nil {
+		return Metrics{}, err
 	}
-	progs, err := buildPrograms(arch, benches)
+	e, _, err := cache.Run(cfg, progs, nil)
 	if err != nil {
 		return Metrics{}, err
 	}
-	return runMachine(cfg, progs, arch.Windowed(), stopAfter)
-}
-
-// buildPrograms builds one program per thread in the machine's ABI.
-func buildPrograms(arch Arch, benches []workload.Benchmark) ([]*program.Program, error) {
-	progs := make([]*program.Program, len(benches))
-	for i, b := range benches {
-		p, err := b.Build(arch.ABI())
-		if err != nil {
-			return nil, err
-		}
-		progs[i] = p
-	}
-	return progs, nil
-}
-
-func runMachine(cfg core.Config, progs []*program.Program, windowed bool, stopAfter uint64) (Metrics, error) {
-	cfg.StopAfter = stopAfter
-	cfg.MaxCycles = 1 << 34
-	res, _, _, err := cache.RunMachine(cfg, progs, windowed, nil)
-	if err != nil {
-		return Metrics{}, err
-	}
+	res := e.Result
 	var committed uint64
 	for _, t := range res.Threads {
 		committed += t.Committed

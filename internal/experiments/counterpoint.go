@@ -94,58 +94,40 @@ func CounterpointMatrix() []MatrixCell {
 	return cells
 }
 
-// RunMatrixCell measures one cell: it builds the per-thread programs,
-// optionally fast-forwards each on the functional engine, runs the
-// detailed machine to the commit budget, and returns the run's counter
-// map plus the config-derived parameter map the predicates reference.
-//
-// With a non-nil cache a cell run from reset funnels through
-// RunMachineShared (memoized, singleflight-coalesced) and a restored
-// cell through RunMachine (memoized), which is how the gate makes the
+// RunMatrixCell measures one cell: it builds the per-thread programs
+// (Arch.Build), optionally fast-forwards each on the functional engine,
+// runs the detailed machine to the commit budget through cc.Run, and
+// returns the run's counter map plus the config-derived parameter map
+// the predicates reference. Every cell, restored or not, is memoized
+// and singleflight-coalesced in cc, which is how the gate makes the
 // simcache.* service predicates measurable; a nil cache simulates
 // directly.
 func RunMatrixCell(c MatrixCell, stop uint64, cc *simcache.Cache) (counters, params map[string]uint64, err error) {
-	cfg, ok := c.Arch.Config(len(c.Workloads), c.PhysRegs, 2)
-	if !ok {
-		return nil, nil, fmt.Errorf("counterpoint: %s: architecture rejects %d registers", c.Name, c.PhysRegs)
-	}
-	cfg.StopAfter = stop
-	cfg.MaxCycles = 1 << 34
-	windowed := c.Arch.Windowed()
-
 	benches := make([]workload.Benchmark, len(c.Workloads))
 	for i, name := range c.Workloads {
 		if benches[i], err = workload.ByName(name); err != nil {
 			return nil, nil, fmt.Errorf("counterpoint: %s: %w", c.Name, err)
 		}
 	}
-	progs, err := buildPrograms(c.Arch, benches)
+	cfg, progs, ok, err := c.Arch.Build(benches, c.PhysRegs, 2, stop)
 	if err != nil {
 		return nil, nil, fmt.Errorf("counterpoint: %s: %w", c.Name, err)
 	}
-
+	if !ok {
+		return nil, nil, fmt.Errorf("counterpoint: %s: architecture rejects %d registers", c.Name, c.PhysRegs)
+	}
+	var cks []*emu.Checkpoint
 	if c.FastForward > 0 {
-		cks := make([]*emu.Checkpoint, len(progs))
+		cks = make([]*emu.Checkpoint, len(progs))
 		for i, p := range progs {
-			m := emu.New(p, emu.Config{Windowed: windowed})
-			executed, err := m.FastRun(c.FastForward)
-			if err != nil {
+			if cks[i], err = emu.FastForward(p, c.Arch.Windowed(), c.FastForward); err != nil {
 				return nil, nil, fmt.Errorf("counterpoint: %s: fast-forward thread %d: %w", c.Name, i, err)
 			}
-			if executed < c.FastForward {
-				return nil, nil, fmt.Errorf("counterpoint: %s: thread %d exited during warmup (%d < %d insts)", c.Name, i, executed, c.FastForward)
-			}
-			cks[i] = m.Checkpoint()
-		}
-		_, counters, _, err = cc.RunMachine(cfg, progs, windowed, cks)
-	} else {
-		var e *simcache.Entry
-		if e, _, err = cc.RunMachineShared(simcache.Key(cfg, progs, windowed), cfg, progs, windowed); err == nil {
-			counters = e.Counters
 		}
 	}
+	e, _, err := cc.Run(cfg, progs, cks)
 	if err != nil {
 		return nil, nil, fmt.Errorf("counterpoint: %s: %w", c.Name, err)
 	}
-	return counters, verify.ConfigParams(cfg), nil
+	return e.Counters, verify.ConfigParams(cfg), nil
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -245,10 +247,31 @@ func TestParallelForStopsOnError(t *testing.T) {
 	}
 }
 
-// withCache installs a fresh result cache for the duration of a test.
-// The experiments package state is global, so tests using it cannot run
-// in parallel with each other — none of this file's tests call
-// t.Parallel().
+// sharedCache is the result store every test of this binary simulates
+// through, so sweeps two tests both run (RegWindowSweep(2, testStop)
+// in TestRegWindowSweepShapes and TestSinglePortSweep) simulate once.
+var sharedCache *simcache.Cache
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "experiments-test-*")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if sharedCache, err = simcache.Open(dir); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	SetCache(sharedCache)
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// withCache installs a fresh result cache for the duration of a test,
+// then restores the shared one. The experiments package state is
+// global, so tests using it cannot run in parallel with each other —
+// none of this file's tests call t.Parallel().
 func withCache(t *testing.T) *simcache.Cache {
 	t.Helper()
 	c, err := simcache.Open(t.TempDir())
@@ -256,7 +279,7 @@ func withCache(t *testing.T) *simcache.Cache {
 		t.Fatal(err)
 	}
 	SetCache(c)
-	t.Cleanup(func() { SetCache(nil) })
+	t.Cleanup(func() { SetCache(sharedCache) })
 	return c
 }
 

@@ -344,17 +344,27 @@ func TestVCAStillMapped(t *testing.T) {
 		t.Error("should be mapped")
 	}
 	v.ReleaseSource(p)
-	// Force eviction by filling the file.
+	// Fill the file with eight more addresses: the ninth mapping evicts
+	// the least recently used register, which is 0x9000's.
+	var last uint64
+	var lastReg int
 	for i := 0; i < 8; i++ {
-		q, _, ok := v.RenameSource(uint64(0xA000+16*i), &ops)
-		if ok {
-			v.ReleaseSource(q)
+		last = uint64(0xA000 + 16*i)
+		q, _, ok := v.RenameSource(last, &ops)
+		if !ok {
+			t.Fatalf("rename of %#x stalled", last)
 		}
+		v.ReleaseSource(q)
+		lastReg = q
 	}
-	if v.StillMapped(0x9000, p) && v.FreeCount() == 0 {
-		// 0x9000 may or may not have been the LRU victim; only assert
-		// consistency, not a specific outcome.
-		t.Log("0x9000 survived eviction pressure")
+	if v.StillMapped(0x9000, p) {
+		t.Error("0x9000, the least recently used mapping, survived the fill")
+	}
+	if n := v.FreeCount(); n != 0 {
+		t.Errorf("FreeCount() = %d after the fill, want 0", n)
+	}
+	if !v.StillMapped(last, lastReg) {
+		t.Errorf("the last renamed address %#x is not mapped to p%d", last, lastReg)
 	}
 	if err := v.CheckInvariants(); err != nil {
 		t.Error(err)

@@ -37,7 +37,7 @@ func freshKey(t *testing.T, c Cell) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	return simcache.Key(b.cfg, b.progs, b.windowed), true
+	return simcache.Key(b.cfg, b.progs), true
 }
 
 // TestCellKeyMatchesFreshKey: the memoized content address, on the
@@ -137,7 +137,7 @@ func TestKeyMemoBound(t *testing.T) {
 }
 
 // legacyRunCell answers a cell the way RunCell did before the memo and
-// the view-first lookup: build, hash, then RunMachineShared.
+// the view-first lookup: build, hash, then look up or simulate.
 func legacyRunCell(cache *simcache.Cache, c Cell) CellResult {
 	out := CellResult{Cell: c}
 	b, ok, err := buildCell(c)
@@ -148,8 +148,8 @@ func legacyRunCell(cache *simcache.Cache, c Cell) CellResult {
 	if !ok {
 		return out
 	}
-	key := simcache.Key(b.cfg, b.progs, b.windowed)
-	e, _, err := cache.RunMachineShared(key, b.cfg, b.progs, b.windowed)
+	key := simcache.Key(b.cfg, b.progs)
+	e, _, err := cache.Run(b.cfg, b.progs, nil)
 	if err != nil {
 		out.Error = err.Error()
 		return out

@@ -16,7 +16,7 @@
 // enter a bounded work queue with strict priority classes and
 // round-robin fairness across tenants (queue.go). Workers execute cells
 // against a shared content-addressed result store with singleflight
-// dedup (simcache.RunMachineShared): N concurrent clients asking for
+// dedup (simcache.Cache.Run): N concurrent clients asking for
 // the same (config, program) pay for exactly one simulation. Results
 // stream back the moment each cell lands, carrying the run's full
 // event-counter map — the CounterPoint-style surface downstream
@@ -118,8 +118,8 @@ type Executor interface {
 // cell, a build error — is answered on the calling worker goroutine.
 // A cell the store must answer runs on a goroutine of its own: if it
 // outlives its job's deadline it is reported failed while that
-// goroutine drains on its own, bounded by Config.MaxCycles — the same
-// abandonment discipline as simcache.Runner timeouts.
+// goroutine drains on its own, bounded by Config.MaxCycles, and its
+// result still lands in the store for the next caller.
 type local struct{ cache *simcache.Cache }
 
 func (l local) Run(ctx context.Context, _ *Job, c Cell) CellResult {

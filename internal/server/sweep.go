@@ -8,7 +8,6 @@ import (
 
 	"vca/internal/core"
 	"vca/internal/experiments"
-	"vca/internal/minic"
 	"vca/internal/program"
 	"vca/internal/simcache"
 	"vca/internal/workload"
@@ -156,67 +155,33 @@ func ExpandCells(req *SweepRequest, maxCells int) ([]Cell, error) {
 	return cells, nil
 }
 
-// progMemo caches built workload programs by (ABI, benchmark name).
-// Workload compilation is deterministic, and a built Program is
-// read-only to the simulator (core.New copies the image into machine
-// memory; SMT runs already share one Program across threads), so every
-// cell of a sweep — and every sweep of a daemon's lifetime — can share
-// one build per (ABI, name).
-var progMemo sync.Map // progID -> *program.Program
-
-type progID struct {
-	abi  minic.ABI
-	name string
-}
-
-func buildProgram(abi minic.ABI, name string) (*program.Program, error) {
-	id := progID{abi, name}
-	if p, ok := progMemo.Load(id); ok {
-		return p.(*program.Program), nil
-	}
-	b, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	p, err := b.Build(abi)
-	if err != nil {
-		return nil, err
-	}
-	shared, _ := progMemo.LoadOrStore(id, p)
-	return shared.(*program.Program), nil
-}
-
 // build is a cell resolved to what the simulator runs.
 type build struct {
-	cfg      core.Config
-	progs    []*program.Program
-	windowed bool
+	cfg   core.Config
+	progs []*program.Program
 }
 
-// buildCell resolves a cell to its build. ok=false means the
-// architecture cannot operate at this size — the caller reports an
-// invalid (but successful) cell.
+// buildCell resolves a cell to its build (experiments.Arch.Build).
+// ok=false means the architecture cannot operate at this size — the
+// caller reports an invalid (but successful) cell. Programs are built
+// once per (benchmark, ABI) per process (workload.Benchmark.Build), so
+// every cell of every sweep shares them.
 func buildCell(c Cell) (b *build, ok bool, err error) {
 	arch, known := experiments.ArchByName(c.Arch)
 	if !known {
 		return nil, false, fmt.Errorf("unknown arch %q", c.Arch)
 	}
 	names := strings.Split(c.Benchmarks, ",")
-	cfg, ok := arch.Config(len(names), c.PhysRegs, c.DL1Ports)
-	if !ok {
-		return nil, false, nil
-	}
-	b = &build{windowed: arch.Windowed()}
-	for _, name := range names {
-		p, err := buildProgram(arch.ABI(), strings.TrimSpace(name))
-		if err != nil {
+	benches := make([]workload.Benchmark, len(names))
+	for i, name := range names {
+		if benches[i], err = workload.ByName(strings.TrimSpace(name)); err != nil {
 			return nil, false, err
 		}
-		b.progs = append(b.progs, p)
 	}
-	cfg.StopAfter = c.StopAfter
-	cfg.MaxCycles = 1 << 34
-	b.cfg = cfg
+	b = &build{}
+	if b.cfg, b.progs, ok, err = arch.Build(benches, c.PhysRegs, c.DL1Ports, c.StopAfter); !ok || err != nil {
+		return nil, false, err
+	}
 	return b, true, nil
 }
 
@@ -232,11 +197,11 @@ type cellID struct {
 }
 
 // keyMemo remembers each distinct cell's content address ("" for a No
-// Baseline cell, which has none), so a repeat
-// cell costs a map lookup instead of a config build, a fingerprint and
-// a hash. Memoizing is sound within a process: the config and the
-// programs are pure functions of the cell (arch.Config, and progMemo's
-// deterministic builds), and the key is a pure function of them. Build
+// Baseline cell, which has none), so a repeat cell costs a map lookup
+// instead of a config build, a fingerprint and a hash. Memoizing is
+// sound within a process: the config and the programs are pure
+// functions of the cell (Arch.Build's configuration and deterministic
+// program builds), and the key is a pure function of them. Build
 // errors are not remembered. The memo holds at most keyMemoMax cells
 // and is emptied wholesale when full; a forgotten cell is derived
 // again.
@@ -264,7 +229,7 @@ func cellKey(c Cell) (key string, b *build, err error) {
 		return "", nil, err
 	}
 	if ok {
-		key = simcache.Key(b.cfg, b.progs, b.windowed)
+		key = simcache.Key(b.cfg, b.progs)
 	}
 	keyMemo.mu.Lock()
 	if keyMemo.m == nil || len(keyMemo.m) >= keyMemoMax {
@@ -324,7 +289,7 @@ func replayCell(cache *simcache.Cache, c Cell) (out CellResult, b *build, done b
 }
 
 // storeCell answers a cell replayCell could not, through
-// RunMachineShared: it reads the entry file, or simulates once across
+// simcache.Cache.Run: it reads the entry file, or simulates once across
 // concurrent callers. It builds the cell unless b already holds its
 // build.
 func storeCell(cache *simcache.Cache, out CellResult, b *build) CellResult {
@@ -334,7 +299,7 @@ func storeCell(cache *simcache.Cache, out CellResult, b *build) CellResult {
 			return CellResult{Cell: out.Cell, Error: err.Error()}
 		}
 	}
-	e, _, err := cache.RunMachineShared(out.CacheKey, b.cfg, b.progs, b.windowed)
+	e, _, err := cache.Run(b.cfg, b.progs, nil)
 	if err != nil {
 		return CellResult{Cell: out.Cell, Error: err.Error()}
 	}

@@ -31,10 +31,10 @@ func fastCheckpoint(t *testing.T, b workload.Benchmark, m model, cut uint64) *em
 func TestKeyFromGolden(t *testing.T) {
 	b, _ := workload.ByName("crafty")
 	for _, m := range []model{testModels[0], testModels[2]} {
-		cfg, progs, windowed := jobFor(t, b, m)
-		key := Key(cfg, progs, windowed)
+		cfg, progs := jobFor(t, b, m)
+		key := Key(cfg, progs)
 		for _, cks := range [][]*emu.Checkpoint{nil, {}, {nil}, {nil, nil}} {
-			if got, err := KeyFrom(cfg, progs, windowed, cks); err != nil || got != key {
+			if got, err := KeyFrom(cfg, progs, cks); err != nil || got != key {
 				t.Errorf("%s: KeyFrom(%d nil entries) = %s (err %v), want Key %s", m.name, len(cks), got, err, key)
 			}
 		}
@@ -50,17 +50,17 @@ func TestKeyFromGolden(t *testing.T) {
 		{testModels[2], 1, 0, "86473e31dd33f086bc98e52b7e7238f599ab8925258397e0c42cce918a0f2454"},
 		{testModels[2], 2, 1, "79a9d11f02e8d94c1e270701715db0f99553d9f4e6916363b1b15cb99e0518f4"},
 	} {
-		cfg, progs, windowed := jobFor(t, b, g.model)
+		cfg, progs := jobFor(t, b, g.model)
 		for len(progs) < g.threads {
 			progs = append(progs, progs[0])
 		}
 		cks := make([]*emu.Checkpoint, g.threads)
 		cks[g.ckAt] = fastCheckpoint(t, b, g.model, 5000)
-		got, err := KeyFrom(cfg, progs, windowed, cks)
+		got, err := KeyFrom(cfg, progs, cks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got == Key(cfg, progs, windowed) {
+		if got == Key(cfg, progs) {
 			t.Errorf("%s/%d threads: checkpointed KeyFrom equals the from-reset Key", g.model.name, g.threads)
 		}
 		if got != g.key {
@@ -80,42 +80,42 @@ func TestRunMachineCheckpointMemoizes(t *testing.T) {
 	}
 	b, _ := workload.ByName("crafty")
 	m := testModels[0]
-	cfg, progs, windowed := jobFor(t, b, m)
+	cfg, progs := jobFor(t, b, m)
 	ck := fastCheckpoint(t, b, m, 5000)
 	cks := []*emu.Checkpoint{ck}
 
-	fromKey, err := KeyFrom(cfg, progs, windowed, cks)
+	fromKey, err := KeyFrom(cfg, progs, cks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromKey == Key(cfg, progs, windowed) {
+	if fromKey == Key(cfg, progs) {
 		t.Fatal("KeyFrom with a checkpoint equals the from-reset key")
 	}
-	if nilKey, err := KeyFrom(cfg, progs, windowed, nil); err != nil || nilKey == fromKey {
+	if nilKey, err := KeyFrom(cfg, progs, nil); err != nil || nilKey == fromKey {
 		t.Fatalf("KeyFrom(nil) must differ from a checkpointed key (err %v)", err)
 	}
 
-	cold, coldCounters, hit, err := cache.RunMachine(cfg, progs, windowed, cks)
+	cold, hit, err := cache.Run(cfg, progs, cks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("first checkpointed run cannot hit")
 	}
-	warm, warmCounters, hit, err := cache.RunMachine(cfg, progs, windowed, cks)
+	warm, hit, err := cache.Run(cfg, progs, cks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit {
 		t.Fatal("second checkpointed run must hit")
 	}
-	if got, want := resultJSON(t, warm, warmCounters), resultJSON(t, cold, coldCounters); got != want {
+	if got, want := resultJSON(t, warm.Result, warm.Counters), resultJSON(t, cold.Result, cold.Counters); got != want {
 		t.Fatalf("checkpointed hit is not bit-identical to the cold run\ngot:  %s\nwant: %s", got, want)
 	}
 
 	// A different starting state must miss.
 	other := fastCheckpoint(t, b, m, 6000)
-	_, _, hit, err = cache.RunMachine(cfg, progs, windowed, []*emu.Checkpoint{other})
+	_, hit, err = cache.Run(cfg, progs, []*emu.Checkpoint{other})
 	if err != nil {
 		t.Fatal(err)
 	}

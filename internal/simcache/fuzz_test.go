@@ -39,10 +39,10 @@ func FuzzCacheEntry(f *testing.F) {
 		f.Fatal(err)
 	}
 	progs := []*program.Program{prog}
-	if _, _, _, err := seed.RunMachine(cfg, progs, false, nil); err != nil {
+	if _, _, err := seed.Run(cfg, progs, nil); err != nil {
 		f.Fatal(err)
 	}
-	key := Key(cfg, progs, false)
+	key := Key(cfg, progs)
 	entry, err := os.ReadFile(seed.entryPath(key))
 	if err != nil {
 		f.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Runner executes independent, deterministic jobs across worker
@@ -37,10 +36,6 @@ import (
 type Runner struct {
 	// Jobs is the worker count; 0 means runtime.GOMAXPROCS(0).
 	Jobs int
-	// Timeout bounds each job's wall time (0 = unbounded). A timed-out
-	// job is reported failed; its goroutine is abandoned and drains on
-	// its own (simulations are bounded by Config.MaxCycles).
-	Timeout time.Duration
 	// KeepGoing dispatches every job even after failures, making the
 	// full aggregated error deterministic (early stop only guarantees a
 	// deterministic primary error).
@@ -91,7 +86,7 @@ func (r Runner) Run(n int, fn func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if err := r.runOne(i, fn); err != nil {
+				if err := protect(i, fn); err != nil {
 					record(i, err)
 				}
 			}
@@ -112,24 +107,6 @@ func (r Runner) Run(n int, fn func(i int) error) error {
 		errs[i] = f
 	}
 	return errors.Join(errs...)
-}
-
-// runOne runs a single job with panic recovery and the optional
-// timeout watchdog.
-func (r Runner) runOne(i int, fn func(int) error) error {
-	if r.Timeout <= 0 {
-		return protect(i, fn)
-	}
-	done := make(chan error, 1)
-	go func() { done <- protect(i, fn) }()
-	timer := time.NewTimer(r.Timeout)
-	defer timer.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-timer.C:
-		return fmt.Errorf("timed out after %v", r.Timeout)
-	}
 }
 
 // protect converts a panic in fn into an ordinary error carrying the

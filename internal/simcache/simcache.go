@@ -6,12 +6,12 @@
 // job is content-addressed: the cache key is a SHA-256 over the
 // canonicalized core.Config (Config.Fingerprint — every semantic field,
 // no observability hooks), the exact program images (text words, data
-// bytes, entry point, load bases), the windowed-ABI flag, and
-// core.SchemaVersion, which is bumped whenever simulator semantics
-// change. A hit therefore can only ever return a result the current
-// simulator would reproduce bit-for-bit; anything else — a config
-// tweak, a program edit, a schema bump, a corrupted file — misses and
-// re-simulates.
+// bytes, entry point, load bases), the windowed-ABI flag the config's
+// window model implies, and core.SchemaVersion, which is bumped
+// whenever simulator semantics change. A hit therefore can only ever
+// return a result the current simulator would reproduce bit-for-bit;
+// anything else — a config tweak, a program edit, a schema bump, a
+// corrupted file — misses and re-simulates.
 //
 // Entries live under a cache directory (default .simcache/) as one
 // JSON file per key, <key>.json, holding the full core.Result plus the
@@ -24,13 +24,15 @@
 // repeat lookups are answered from memory (Get).
 //
 // A Cache is safe for concurrent use and doubles as the shared store
-// of the sweep service (internal/server, cmd/vcaserved): batch callers
-// use RunMachine, and concurrent clients use RunMachineShared, which
-// adds singleflight deduplication — overlapping requests for the same
-// content address pay for exactly one simulation (singleflight.go).
-// RunMachine also memoizes runs that start from checkpointed state
-// images (vcasim -restore, the counterpoint gate's fast-forwarded
-// cells): KeyFrom adds each image's content address to the key.
+// of the sweep service (internal/server, cmd/vcaserved). Every caller —
+// the figure sweeps, the service, the counterpoint matrix, the vca
+// facade — reaches the simulator through one method, Run, which
+// coalesces concurrent identical jobs with singleflight: overlapping
+// requests for the same content address pay for exactly one
+// simulation (singleflight.go). Run also memoizes runs that start from
+// checkpointed state images (vcasim -restore, the counterpoint gate's
+// fast-forwarded cells): KeyFrom adds each image's content address to
+// the key.
 //
 // EXPERIMENTS.md ("Result cache") documents key derivation,
 // invalidation rules, and the cmd/experiments -cache* flags;
@@ -56,17 +58,17 @@ import (
 	"vca/internal/program"
 )
 
-// Key returns the content address of one simulation job. Identical
-// keys guarantee bit-identical simulation results under the current
-// core.SchemaVersion.
+// Key returns the content address of one simulation job run from
+// reset. Identical keys guarantee bit-identical simulation results
+// under the current core.SchemaVersion.
 //
 // The program half of the derivation is each image's memoized
 // program.Program.Digest, so repeat keys over the same images hash only
 // the config fingerprint, which is appended straight into the hashed
 // buffer.
-func Key(cfg core.Config, progs []*program.Program, windowed bool) string {
+func Key(cfg core.Config, progs []*program.Program) string {
 	b := cfg.AppendFingerprint(append(make([]byte, 0, 2048), keyPrefix...))
-	b = appendKeyPrograms(b, windowed, len(progs))
+	b = appendKeyPrograms(b, cfg.Window.Windowed(), len(progs))
 	for _, p := range progs {
 		b = appendKeyProgram(b, p.Digest())
 	}
@@ -77,13 +79,14 @@ func Key(cfg core.Config, progs []*program.Program, windowed bool) string {
 // from, cks[i] being thread i's starting image: a memoized result is
 // only reusable when the configuration, the programs, AND the exact
 // injected starting state all match. A nil slice (or all-nil entries)
-// is a run from reset and degrades to the plain Key.
-func KeyFrom(cfg core.Config, progs []*program.Program, windowed bool, cks []*emu.Checkpoint) (string, error) {
+// is a run from reset and is keyed by the plain Key.
+func KeyFrom(cfg core.Config, progs []*program.Program, cks []*emu.Checkpoint) (string, error) {
+	key := Key(cfg, progs)
 	if !slices.ContainsFunc(cks, func(ck *emu.Checkpoint) bool { return ck != nil }) {
-		return Key(cfg, progs, windowed), nil
+		return key, nil
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "base=%s\nrestores=%d\n", Key(cfg, progs, windowed), len(cks))
+	fmt.Fprintf(h, "base=%s\nrestores=%d\n", key, len(cks))
 	for i, ck := range cks {
 		if ck == nil {
 			fmt.Fprintf(h, "%d=-\n", i)
@@ -99,8 +102,9 @@ func KeyFrom(cfg core.Config, progs []*program.Program, windowed bool, cks []*em
 }
 
 // The hashed bytes of a key are, line by line: schema=<SchemaVersion>,
-// config=<fingerprint>, windowed=<bool>, programs=<count>, and one
-// program=<digest> per thread. TestKeyGolden pins them.
+// config=<fingerprint>, windowed=<cfg.Window.Windowed()>,
+// programs=<count>, and one program=<digest> per thread. TestKeyGolden
+// pins them.
 var keyPrefix = "schema=" + strconv.Itoa(core.SchemaVersion) + "\nconfig="
 
 func appendKeyPrograms(b []byte, windowed bool, n int) []byte {
@@ -160,8 +164,8 @@ func checksum(res *core.Result, counters map[string]uint64) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Stats counts cache traffic since Open. Bypassed counts jobs run with
-// a nil cache handle (caching disabled).
+// Stats counts cache traffic since Open. A nil cache handle (caching
+// disabled) counts nothing.
 type Stats struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
@@ -169,17 +173,17 @@ type Stats struct {
 	Corrupt uint64 `json:"corrupt"` // entries that failed checksum/decode and were discarded
 	Errors  uint64 `json:"errors"`  // I/O errors (treated as misses)
 
-	// SFHits counts RunMachineShared callers that coalesced onto another
-	// caller's in-flight simulation (singleflight followers). A follower
-	// is neither a disk hit nor a miss: total simulations == Misses, and
+	// SFHits counts Run callers that coalesced onto another caller's
+	// in-flight simulation (singleflight followers). A follower is
+	// neither a disk hit nor a miss: total simulations == Misses, and
 	// total answered jobs == Hits + Misses + SFHits.
 	SFHits uint64 `json:"sf_hits,omitempty"`
 
 	// Simulations counts detailed simulations the cache actually started
-	// on behalf of RunMachine/RunMachineShared misses. The
-	// singleflight invariant Misses == Simulations (every miss simulates
-	// exactly once, and nothing else simulates) is asserted by the
-	// counterpoint predicate cache-misses-eq-simulations.
+	// on behalf of Run misses. The singleflight invariant Misses ==
+	// Simulations (every miss simulates exactly once, and nothing else
+	// simulates) is asserted by the counterpoint predicate
+	// cache-misses-eq-simulations.
 	Simulations uint64 `json:"simulations,omitempty"`
 }
 
@@ -192,9 +196,9 @@ func (s Stats) HitRate() float64 {
 }
 
 // Cache is an on-disk, content-addressed store of simulation results.
-// A nil *Cache is valid and means "caching disabled": RunMachine
-// simulates directly. Methods are safe for concurrent use by the
-// Runner's workers.
+// A nil *Cache is valid and means "caching disabled": Run simulates
+// directly. Methods are safe for concurrent use by the Runner's
+// workers.
 type Cache struct {
 	dir string
 
@@ -202,7 +206,7 @@ type Cache struct {
 	sfHits                              atomic.Uint64
 	simulations                         atomic.Uint64
 
-	sf flightGroup // in-flight dedup for RunMachineShared
+	sf flightGroup // in-flight dedup for Run
 
 	mu   sync.Mutex // guards keys
 	keys map[string]struct{}
@@ -296,7 +300,7 @@ func (c *Cache) entryPath(key string) string {
 
 // Get loads the entry for key. ok=false on miss; a corrupted or
 // schema-stale entry is removed and reported as a miss. Get does not
-// touch the hit/miss statistics — RunMachine owns those.
+// touch the hit/miss statistics — Run owns those.
 //
 // The first Get of a key in this process reads and verifies its file;
 // later ones return the same entry from memory. The returned entry
@@ -331,10 +335,10 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 }
 
 // Cached answers key from the in-memory view alone, counting the hit
-// RunMachineShared would have counted. It never reads the disk: false
-// means only that this process has not verified key's entry yet, and
-// the caller goes on to RunMachineShared, which counts the miss (or the
-// hit its disk read finds). A nil cache has no view.
+// Run would have counted. It never reads the disk: false means only
+// that this process has not verified key's entry yet, and the caller
+// goes on to Run, which counts the miss (or the hit its disk read
+// finds). A nil cache has no view.
 func (c *Cache) Cached(key string) (*Entry, bool) {
 	if c == nil {
 		return nil, false
@@ -455,65 +459,89 @@ func (c *Cache) Put(key string, cfg core.Config, progs []*program.Program, res *
 	return nil
 }
 
-// RunMachine is the memoized simulation entry point: on a hit it
-// returns the stored result (and its counter map) without simulating;
-// on a miss it builds the machine, runs it, stores the result, and
-// returns it. The returned hit flag reports which path was taken.
+// Run is the memoized simulation entry point. It answers the job
+// (cfg, progs) from the store when its content address (KeyFrom) is
+// there, and otherwise builds the machine, runs it, stores the result
+// and returns it. hit reports that this call did not simulate: the
+// answer came from a stored entry or from another caller's flight.
 //
 // cks[i], when non-nil, is injected into thread i before the machine
 // runs (core.Machine.InjectCheckpoint); a nil slice starts every thread
-// from reset. The result is stored under KeyFrom, so a cached answer
-// only ever matches the identical starting state.
+// from reset. The key covers the starting state, so a cached answer
+// only ever matches the identical checkpoints.
 //
-// A hit's Result has a nil Metrics registry — callers needing live
-// registry access (histograms, stats dumps) must bypass the cache. A
-// hit's Result and counter map are shared with every other hit on the
-// key (see Get): treat them as read-only.
-func (c *Cache) RunMachine(cfg core.Config, progs []*program.Program, windowed bool, cks []*emu.Checkpoint) (res *core.Result, counters map[string]uint64, hit bool, err error) {
-	if c == nil {
-		res, err := simulate(cfg, progs, windowed, cks)
+// Every miss goes through the singleflight group: identical jobs that
+// overlap in time pay for exactly one simulation. The leader simulates
+// and stores; followers block and share its entry, counted as SFHits
+// rather than cache hits.
+//
+// The answer is an Entry carrying Schema, Key, Result and Counters,
+// shared with every other caller of the key: treat it as read-only. A
+// stored answer is the view's entry (Get): its Result has a nil Metrics
+// registry, and its CountersJSON is the counter map already encoded;
+// callers needing a live registry (histograms, stats dumps) pass a nil
+// cache. A nil cache simulates directly and returns the live result
+// and its counter map, with an empty Key.
+func (c *Cache) Run(cfg core.Config, progs []*program.Program, cks []*emu.Checkpoint) (e *Entry, hit bool, err error) {
+	run := func(key string) (*Entry, error) {
+		m, err := core.New(cfg, progs, cfg.Window.Windowed())
 		if err != nil {
-			return nil, nil, false, err
+			return nil, err
 		}
-		return res, res.Metrics.CounterMap(), false, nil
+		for i, ck := range cks {
+			if ck == nil {
+				continue
+			}
+			if err := m.InjectCheckpoint(i, ck); err != nil {
+				return nil, err
+			}
+		}
+		res, err := m.Run()
+		if err != nil {
+			return nil, err
+		}
+		return &Entry{Schema: core.SchemaVersion, Key: key, Result: res, Counters: res.Metrics.CounterMap()}, nil
 	}
-	key, err := KeyFrom(cfg, progs, windowed, cks)
+	if c == nil {
+		e, err := run("")
+		return e, false, err
+	}
+	key, err := KeyFrom(cfg, progs, cks)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("simcache: %w", err)
+		return nil, false, fmt.Errorf("simcache: %w", err)
 	}
 	if e, ok := c.Get(key); ok {
 		c.hits.Add(1)
-		return e.Result, e.Counters, true, nil
+		return e, true, nil
 	}
-	c.misses.Add(1)
-	c.simulations.Add(1)
-	r, err := simulate(cfg, progs, windowed, cks)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	cm := r.Metrics.CounterMap()
-	if err := c.Put(key, cfg, progs, r, cm); err != nil {
-		c.errs.Add(1) // a store failure degrades to "no caching", not a harness error
-	}
-	return r, cm, false, nil
-}
-
-// simulate builds and runs one machine, injecting cks[i] (when non-nil)
-// into thread i first.
-func simulate(cfg core.Config, progs []*program.Program, windowed bool, cks []*emu.Checkpoint) (*core.Result, error) {
-	m, err := core.New(cfg, progs, windowed)
-	if err != nil {
-		return nil, err
-	}
-	for i, ck := range cks {
-		if ck == nil {
-			continue
+	simulated := false
+	e, shared, err := c.sf.do(key, func() (*Entry, error) {
+		// Re-check under flight leadership: another leader may have
+		// finished and stored between our Get miss and acquiring the
+		// flight, and a hit here must not be double-simulated.
+		if e, ok := c.Get(key); ok {
+			c.hits.Add(1)
+			return e, nil
 		}
-		if err := m.InjectCheckpoint(i, ck); err != nil {
+		c.misses.Add(1)
+		c.simulations.Add(1)
+		simulated = true
+		e, err := run(key)
+		if err != nil {
 			return nil, err
 		}
+		if err := c.Put(key, cfg, progs, e.Result, e.Counters); err != nil {
+			c.errs.Add(1) // a store failure degrades to "no caching", not a harness error
+		}
+		return e, nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	return m.Run()
+	if shared {
+		c.sfHits.Add(1)
+	}
+	return e, !simulated, nil
 }
 
 // Stats returns a snapshot of the traffic counters (zero for nil).

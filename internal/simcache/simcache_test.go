@@ -38,7 +38,7 @@ var testModels = []model{
 	{"vca-window", core.RenameVCA, core.WindowVCA, 128, minic.ABIWindowed},
 }
 
-func jobFor(t *testing.T, b workload.Benchmark, m model) (core.Config, []*program.Program, bool) {
+func jobFor(t *testing.T, b workload.Benchmark, m model) (core.Config, []*program.Program) {
 	t.Helper()
 	cfg := core.DefaultConfig(m.rename, m.window, 1, m.physRegs)
 	cfg.StopAfter = testStop
@@ -47,7 +47,7 @@ func jobFor(t *testing.T, b workload.Benchmark, m model) (core.Config, []*progra
 	if err != nil {
 		t.Fatalf("%s/%s: %v", b.Name, m.name, err)
 	}
-	return cfg, []*program.Program{prog}, m.abi == minic.ABIWindowed
+	return cfg, []*program.Program{prog}
 }
 
 // resultJSON is the bit-identity witness: the canonical serialized form
@@ -76,25 +76,25 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	for _, m := range testModels {
 		for _, b := range benches {
-			cfg, progs, windowed := jobFor(t, b, m)
-			cold, coldCounters, hit, err := cache.RunMachine(cfg, progs, windowed, nil)
+			cfg, progs := jobFor(t, b, m)
+			cold, hit, err := cache.Run(cfg, progs, nil)
 			if err != nil {
 				t.Fatalf("%s/%s cold: %v", b.Name, m.name, err)
 			}
 			if hit {
 				t.Fatalf("%s/%s: first run cannot hit", b.Name, m.name)
 			}
-			warm, warmCounters, hit, err := cache.RunMachine(cfg, progs, windowed, nil)
+			warm, hit, err := cache.Run(cfg, progs, nil)
 			if err != nil {
 				t.Fatalf("%s/%s warm: %v", b.Name, m.name, err)
 			}
 			if !hit {
 				t.Fatalf("%s/%s: second run must hit", b.Name, m.name)
 			}
-			if warm.Metrics != nil {
+			if warm.Result.Metrics != nil {
 				t.Fatalf("%s/%s: a replayed result must not carry a live registry", b.Name, m.name)
 			}
-			if got, want := resultJSON(t, warm, warmCounters), resultJSON(t, cold, coldCounters); got != want {
+			if got, want := resultJSON(t, warm.Result, warm.Counters), resultJSON(t, cold.Result, cold.Counters); got != want {
 				t.Errorf("%s/%s: hit is not bit-identical to the cold run\ngot:  %s\nwant: %s",
 					b.Name, m.name, got, want)
 			}
@@ -114,18 +114,18 @@ func TestKeyInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, progs, windowed := jobFor(t, b, testModels[0])
-	base := Key(cfg, progs, windowed)
+	cfg, progs := jobFor(t, b, testModels[0])
+	base := Key(cfg, progs)
 
 	t.Run("config field", func(t *testing.T) {
 		c := cfg
 		c.Hier.DL1Ports = 1
-		if Key(c, progs, windowed) == base {
+		if Key(c, progs) == base {
 			t.Error("DL1Ports change did not change the key")
 		}
 		c = cfg
 		c.StopAfter++
-		if Key(c, progs, windowed) == base {
+		if Key(c, progs) == base {
 			t.Error("StopAfter change did not change the key")
 		}
 	})
@@ -133,7 +133,7 @@ func TestKeyInvalidation(t *testing.T) {
 		c := cfg
 		c.CoSim = !c.CoSim
 		c.Check = true
-		if Key(c, progs, windowed) != base {
+		if Key(c, progs) != base {
 			t.Error("observability toggles must not change the key")
 		}
 	})
@@ -150,7 +150,7 @@ func TestKeyInvalidation(t *testing.T) {
 		clone := cloneOf(progs[0])
 		clone.Text = append([]isa.Word{}, progs[0].Text...)
 		clone.Text[len(clone.Text)/2] ^= 1
-		if Key(cfg, []*program.Program{&clone}, windowed) == base {
+		if Key(cfg, []*program.Program{&clone}) == base {
 			t.Error("text change did not change the key")
 		}
 		clone = cloneOf(progs[0])
@@ -160,13 +160,8 @@ func TestKeyInvalidation(t *testing.T) {
 		} else {
 			clone.Data[0] ^= 1
 		}
-		if Key(cfg, []*program.Program{&clone}, windowed) == base {
+		if Key(cfg, []*program.Program{&clone}) == base {
 			t.Error("data change did not change the key")
-		}
-	})
-	t.Run("windowed flag", func(t *testing.T) {
-		if Key(cfg, progs, !windowed) == base {
-			t.Error("windowed flag did not change the key")
 		}
 	})
 	t.Run("program order and count", func(t *testing.T) {
@@ -175,11 +170,11 @@ func TestKeyInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pair := Key(cfg, []*program.Program{progs[0], p2}, windowed)
+		pair := Key(cfg, []*program.Program{progs[0], p2})
 		if pair == base {
 			t.Error("program count did not change the key")
 		}
-		if Key(cfg, []*program.Program{p2, progs[0]}, windowed) == pair {
+		if Key(cfg, []*program.Program{p2, progs[0]}) == pair {
 			t.Error("program order did not change the key")
 		}
 	})
@@ -193,11 +188,11 @@ func TestSchemaBumpForcesMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := workload.ByName("twolf")
-	cfg, progs, windowed := jobFor(t, b, testModels[0])
-	if _, _, _, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil {
+	cfg, progs := jobFor(t, b, testModels[0])
+	if _, _, err := cache.Run(cfg, progs, nil); err != nil {
 		t.Fatal(err)
 	}
-	key := Key(cfg, progs, windowed)
+	key := Key(cfg, progs)
 
 	// Rewrite the stored entry as if an older simulator had written it.
 	path := cache.entryPath(key)
@@ -218,7 +213,7 @@ func TestSchemaBumpForcesMiss(t *testing.T) {
 	if _, ok := cache.Get(key); ok {
 		t.Fatal("stale-schema entry must miss")
 	}
-	if _, _, hit, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil || hit {
+	if _, hit, err := cache.Run(cfg, progs, nil); err != nil || hit {
 		t.Fatalf("stale-schema entry must re-simulate (hit=%v err=%v)", hit, err)
 	}
 }
@@ -231,12 +226,12 @@ func TestCorruptEntryResimulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := workload.ByName("gcc_expr")
-	cfg, progs, windowed := jobFor(t, b, testModels[0])
-	ref, refCounters, _, err := cache.RunMachine(cfg, progs, windowed, nil)
+	cfg, progs := jobFor(t, b, testModels[0])
+	ref, _, err := cache.Run(cfg, progs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key(cfg, progs, windowed)
+	key := Key(cfg, progs)
 	path := cache.entryPath(key)
 
 	corruptions := map[string]func([]byte) []byte{
@@ -261,7 +256,7 @@ func TestCorruptEntryResimulated(t *testing.T) {
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				// Re-populate (previous subtest discarded the entry).
-				if _, _, _, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil {
+				if _, _, err := cache.Run(cfg, progs, nil); err != nil {
 					t.Fatal(err)
 				}
 				raw, err = os.ReadFile(path)
@@ -273,7 +268,7 @@ func TestCorruptEntryResimulated(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := cache.Stats().Corrupt
-			res, counters, hit, err := cache.RunMachine(cfg, progs, windowed, nil)
+			e, hit, err := cache.Run(cfg, progs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,7 +278,7 @@ func TestCorruptEntryResimulated(t *testing.T) {
 			if cache.Stats().Corrupt <= before {
 				t.Error("corruption not counted")
 			}
-			if resultJSON(t, res, counters) != resultJSON(t, ref, refCounters) {
+			if resultJSON(t, e.Result, e.Counters) != resultJSON(t, ref.Result, ref.Counters) {
 				t.Error("re-simulated result differs from the original run")
 			}
 		})
@@ -305,8 +300,8 @@ func TestResumeAfterInterrupt(t *testing.T) {
 			if i == interruptAt {
 				return errors.New("simulated interrupt")
 			}
-			cfg, progs, windowed := jobFor(t, benches[i], m)
-			_, _, _, err := c.RunMachine(cfg, progs, windowed, nil)
+			cfg, progs := jobFor(t, benches[i], m)
+			_, _, err := c.Run(cfg, progs, nil)
 			return err
 		})
 	}
@@ -346,12 +341,12 @@ func TestResumeAfterInterrupt(t *testing.T) {
 func TestNilCacheBypasses(t *testing.T) {
 	var c *Cache
 	b, _ := workload.ByName("parser")
-	cfg, progs, windowed := jobFor(t, b, testModels[0])
-	res, counters, hit, err := c.RunMachine(cfg, progs, windowed, nil)
+	cfg, progs := jobFor(t, b, testModels[0])
+	e, hit, err := c.Run(cfg, progs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit || res == nil || len(counters) == 0 {
+	if hit || e.Result == nil || e.Result.Metrics == nil || len(e.Counters) == 0 {
 		t.Fatalf("nil cache must simulate directly (hit=%v)", hit)
 	}
 	if c.Stats() != (Stats{}) || c.Len() != 0 || c.Dir() != "" {
@@ -370,11 +365,11 @@ func TestEntryProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := workload.ByName("gap")
-	cfg, progs, windowed := jobFor(t, b, testModels[2])
-	if _, _, _, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil {
+	cfg, progs := jobFor(t, b, testModels[2])
+	if _, _, err := cache.Run(cfg, progs, nil); err != nil {
 		t.Fatal(err)
 	}
-	key := Key(cfg, progs, windowed)
+	key := Key(cfg, progs)
 	raw, err := os.ReadFile(cache.entryPath(key))
 	if err != nil {
 		t.Fatal(err)
@@ -442,11 +437,11 @@ func TestSharedDirectoryConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := workload.ByName("mesa")
-	cfg, progs, windowed := jobFor(t, b, testModels[0])
-	if _, _, _, err := seed.RunMachine(cfg, progs, windowed, nil); err != nil {
+	cfg, progs := jobFor(t, b, testModels[0])
+	if _, _, err := seed.Run(cfg, progs, nil); err != nil {
 		t.Fatal(err)
 	}
-	e, ok := seed.Get(Key(cfg, progs, windowed))
+	e, ok := seed.Get(Key(cfg, progs))
 	if !ok {
 		t.Fatal("seed entry missed")
 	}
@@ -501,9 +496,9 @@ func TestMetricsRegistryExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := workload.ByName("mesa")
-	cfg, progs, windowed := jobFor(t, b, testModels[0])
+	cfg, progs := jobFor(t, b, testModels[0])
 	for i := 0; i < 3; i++ {
-		if _, _, _, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil {
+		if _, _, err := cache.Run(cfg, progs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -520,39 +515,37 @@ func TestMetricsRegistryExport(t *testing.T) {
 
 // TestSimulationsMatchMisses pins the service-accounting invariant the
 // counterpoint cache-misses-eq-simulations predicate sweeps for: every
-// cache miss starts exactly one detailed simulation, across the plain
-// and singleflight entry points and a run given a checkpoint slice —
-// and hits start none.
+// cache miss starts exactly one detailed simulation, across runs from
+// reset, from a checkpoint and given an all-nil checkpoint slice — and
+// hits start none.
 func TestSimulationsMatchMisses(t *testing.T) {
 	cache, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _ := workload.ByName("mesa")
-	cfg, progs, windowed := jobFor(t, b, testModels[0])
+	cfg, progs := jobFor(t, b, testModels[0])
 
-	// Miss then hit through RunMachine.
+	// Miss then hit from reset.
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := cache.RunMachine(cfg, progs, windowed, nil); err != nil {
+		if _, _, err := cache.Run(cfg, progs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Miss then hit through the singleflight path (different key: deeper
-	// stop budget).
-	cfg2 := cfg
-	cfg2.StopAfter = cfg.StopAfter + 1000
+	// Miss then hit from a checkpoint (different key: the starting
+	// state).
+	ck := fastCheckpoint(t, b, testModels[0], 5000)
 	for i := 0; i < 2; i++ {
-		if _, _, err := cache.RunMachineShared(Key(cfg2, progs, windowed), cfg2, progs, windowed); err != nil {
+		if _, _, err := cache.Run(cfg, progs, []*emu.Checkpoint{ck}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Miss then hit through RunMachine given all-nil checkpoints: a cold
-	// start, keyed like the plain Key (different key here: deeper stop
-	// budget again).
+	// Miss then hit given all-nil checkpoints: a cold start, keyed like
+	// the plain Key (different key here: deeper stop budget).
 	cfg3 := cfg
 	cfg3.StopAfter = cfg.StopAfter + 2000
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := cache.RunMachine(cfg3, progs, windowed, make([]*emu.Checkpoint, len(progs))); err != nil {
+		if _, _, err := cache.Run(cfg3, progs, make([]*emu.Checkpoint, len(progs))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -588,8 +581,8 @@ func TestKeyGolden(t *testing.T) {
 		if g.model == testModels[2].name {
 			m = testModels[2]
 		}
-		cfg, progs, windowed := jobFor(t, b, m)
-		if got := Key(cfg, progs, windowed); got != g.key {
+		cfg, progs := jobFor(t, b, m)
+		if got := Key(cfg, progs); got != g.key {
 			t.Errorf("%s/%s: key %s, want %s", g.bench, g.model, got, g.key)
 		}
 	}

@@ -25,8 +25,7 @@ func inView(c *Cache, key string) bool {
 	return ok
 }
 
-// TestViewReplayAccounting replays K cells N times through the shared
-// entry point. Traffic counts are those of a cache without a view (one
+// TestViewReplayAccounting replays K cells N times through Run. Traffic counts are those of a cache without a view (one
 // miss, simulation and store per cell, then one hit per replay); the
 // view is filled by the first verified disk read, not by Put; and every
 // replay of a key shares one decoded entry that holds no live registry
@@ -43,10 +42,10 @@ func TestViewReplayAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg, progs, windowed := jobFor(t, b, testModels[0])
-		key := Key(cfg, progs, windowed)
+		cfg, progs := jobFor(t, b, testModels[0])
+		key := Key(cfg, progs)
 		keys = append(keys, key)
-		if e, hit, err := c.RunMachineShared(key, cfg, progs, windowed); err != nil || hit || e.CountersJSON() != nil {
+		if e, hit, err := c.Run(cfg, progs, nil); err != nil || hit || e.CountersJSON() != nil {
 			t.Fatalf("%s first run: hit=%v err=%v, simulated answer carries encoded counters: %v", name, hit, err, e.CountersJSON() != nil)
 		}
 		if inView(c, key) {
@@ -54,7 +53,7 @@ func TestViewReplayAccounting(t *testing.T) {
 		}
 		var first *Entry
 		for i := 0; i < N; i++ {
-			e, hit, err := c.RunMachineShared(key, cfg, progs, windowed)
+			e, hit, err := c.Run(cfg, progs, nil)
 			if err != nil || !hit {
 				t.Fatalf("%s replay %d: hit=%v err=%v", name, i, hit, err)
 			}
@@ -111,11 +110,11 @@ func TestViewRemovals(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := workload.ByName("gap")
-	cfg, progs, windowed := jobFor(t, b, testModels[0])
-	key := Key(cfg, progs, windowed)
+	cfg, progs := jobFor(t, b, testModels[0])
+	key := Key(cfg, progs)
 	fill := func() {
 		t.Helper()
-		if _, _, _, err := c.RunMachine(cfg, progs, windowed, nil); err != nil {
+		if _, _, err := c.Run(cfg, progs, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := c.Get(key); !ok || !inView(c, key) {

@@ -28,7 +28,10 @@
 //   - MachineSpec.Cache (opened with OpenResultCache) memoizes runs in
 //     the on-disk result store (internal/simcache), the same
 //     content-addressed cache the experiment harness and the sweep
-//     service share.
+//     service share. Every run, memoized or not, takes that store's one
+//     path to the simulator (simcache.Cache.Run; a nil cache simulates
+//     directly), the path every figure, sweep-service cell and
+//     counterpoint cell takes.
 //
 // The deeper layers remain available under internal/ for the experiment
 // harness; this package exposes the stable surface a downstream user
@@ -124,13 +127,13 @@ type MachineSpec struct {
 	// Cache, when non-nil, memoizes the run in a content-addressed
 	// on-disk result cache (see internal/simcache and the "Result
 	// cache" section of EXPERIMENTS.md): an identical (config,
-	// programs) pair is
-	// answered from disk without simulating. Ignored — the run always
-	// simulates — when Trace, ChromeTrace, or Check is set, because a
-	// replayed result has no live metrics registry or event stream
-	// (Result.Metrics is nil on a cache hit). A replayed result is
-	// shared with every other hit on the same run: treat it as
-	// read-only.
+	// programs, starting checkpoints) triple is answered from disk
+	// without simulating, and concurrent identical runs simulate once.
+	// Ignored — the run always simulates — when Trace, ChromeTrace, or
+	// Check is set, because a replayed result has no live metrics
+	// registry or event stream (Result.Metrics is nil on a cache hit).
+	// A replayed result is shared with every other hit on the same run:
+	// treat it as read-only.
 	Cache *ResultCache
 	// FastForward skips the first N instructions of every thread at
 	// functional speed (tens of MIPS, emu.FastRun) and transplants the
@@ -154,15 +157,7 @@ type Checkpoint = emu.Checkpoint
 // functional engine and returns the resulting checkpoint. It fails if
 // the program exits or faults before the budget is reached.
 func FastForward(p *Program, windowed bool, n uint64) (*Checkpoint, error) {
-	m := emu.New(p, emu.Config{Windowed: windowed})
-	executed, err := m.FastRun(n)
-	if err != nil {
-		return nil, err
-	}
-	if executed < n {
-		return nil, fmt.Errorf("vca: program exited after %d of %d fast-forward instructions", executed, n)
-	}
-	return m.Checkpoint(), nil
+	return emu.FastForward(p, windowed, n)
 }
 
 // LoadCheckpoint reads a checkpoint file written by SaveCheckpoint,
@@ -277,30 +272,15 @@ func Run(spec MachineSpec, progs ...*Program) (Result, error) {
 			return Result{}, fmt.Errorf("vca: %d restore checkpoints for %d threads", len(restores), len(progs))
 		}
 	}
-	if cache := spec.Cache; cache != nil && spec.Trace == nil && spec.ChromeTrace == nil && !spec.Check {
-		res, _, _, err := cache.RunMachine(cfg, progs, spec.Arch.Windowed(), restores)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{res}, nil
+	cache := spec.Cache
+	if spec.Trace != nil || spec.ChromeTrace != nil || spec.Check {
+		cache = nil // only a live run has an event stream and a registry
 	}
-	m, err := core.New(cfg, progs, spec.Arch.Windowed())
+	e, _, err := cache.Run(cfg, progs, restores)
 	if err != nil {
 		return Result{}, err
 	}
-	for i, ck := range restores {
-		if ck == nil {
-			continue
-		}
-		if err := m.InjectCheckpoint(i, ck); err != nil {
-			return Result{}, err
-		}
-	}
-	res, err := m.Run()
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{res}, nil
+	return Result{e.Result}, nil
 }
 
 // Emulate runs a program on the functional (non-cycle-accurate) emulator
